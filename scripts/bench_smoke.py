@@ -676,10 +676,11 @@ def run_serve_bench(
 
     One representation build; per worker count, two pools are measured:
     hot tier **off** (batched per-worker envelopes only — the tail path)
-    and hot tier **on** (top-``SERVE_HOT_TOP`` head queries precomputed
-    into the shared segment, answered O(1) in the parent).  The probe
-    workload is served warm (a priming pass first) so the numbers
-    measure the steady serving state, not compact-cache fills.  Batched
+    and hot tier **on** (answers to the top-``SERVE_HOT_TOP`` head
+    queries memoized in the parent, answered O(1) there).  The probe
+    workload is served warm (a priming pass first, which also fills the
+    memo) so the numbers measure the steady serving state, not
+    compact-cache fills.  Batched
     tail answers and hot-tier answers are separately checked
     bit-identical against the single-process reference;
     ``ipc_overhead_ms`` is the per-request cost the pool adds over the

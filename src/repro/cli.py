@@ -180,9 +180,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "(throughput measurement)")
     serve.add_argument("--compact-size", type=int, default=150)
     serve.add_argument("--hot-top", type=int, default=0, metavar="N",
-                       help="precompute the N most frequent log queries "
-                            "into the shared hot-query table; hits are "
-                            "answered O(1) in the parent (0 = tier off)")
+                       help="memoize the workers' answers to the N most "
+                            "frequent log queries per generation; repeats "
+                            "are answered O(1) in the parent (0 = tier off)")
     serve.add_argument("--personalize", action="store_true",
                        help="fit the UPM on the log, publish the profiles "
                             "into the shared profile plane, and serve each "
@@ -644,8 +644,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 f"{pool.segment_bytes / 1e6:.1f} MB shared segment "
                 f"({pool.segment_name})"
             )
-        if pool.hot_entries:
-            print(f"hot tier: {pool.hot_entries} precomputed head queries")
+        if hot_queries:
+            print(
+                f"hot tier: answers to {len(hot_queries)} head queries "
+                f"memoized per generation"
+            )
         if pool.serves_profiles:
             print(
                 f"profile plane: {pool.profile_users} users, "
@@ -665,11 +668,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"({served / elapsed:,.0f} QPS)"
         )
         pool_stats = pool.stats()
-        if pool_stats.hot_entries:
+        if hot_queries:
             print(
                 f"hot tier: {pool_stats.hot_hits}/{served} hits "
                 f"({pool_stats.hot_hits / served:.0%}) answered O(1) "
-                f"from the shared table"
+                f"from the per-generation memo"
             )
         for worker in pool_stats.workers:
             line = (

@@ -22,6 +22,7 @@ Online (``suggest`` / ``suggest_batch``):
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections.abc import Sequence
 
@@ -61,18 +62,19 @@ def head_queries(log: QueryLog, n: int) -> list[str]:
 
     Real query streams are heavily head-skewed, so a small top-``n`` by
     submission frequency covers a large traffic share.  Ties break
-    lexicographically for a deterministic table across rebuilds.  This is
-    the extraction behind the scale-out pool's precomputed hot-query tier
+    lexicographically for a deterministic hot set across rebuilds.  This
+    is the extraction behind the scale-out pool's hot-query memo
     (:class:`repro.serve.pool.SuggestWorkerPool` ``hot_queries`` /
-    ``hot_top``) and :meth:`repro.stream.epoch.Epoch.head_queries`.
+    ``hot_top``) and :meth:`repro.stream.epoch.Epoch.head_queries`, which
+    runs on every epoch publish — so it selects the top *n* with a heap
+    over the log's count mapping instead of sorting every distinct query.
     """
     if n <= 0:
         return []
-    ranked = sorted(
-        log.unique_queries,
-        key=lambda query: (-log.query_frequency(query), query),
+    top = heapq.nsmallest(
+        n, log.query_counts.items(), key=lambda item: (-item[1], item[0])
     )
-    return ranked[:n]
+    return [query for query, _ in top]
 
 
 class PQSDA(Suggester):

@@ -9,7 +9,8 @@ weighting of Sec. III consumes.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Mapping
+from types import MappingProxyType
 
 from repro.logs.schema import QueryRecord
 from repro.utils.text import normalize_query, tokenize
@@ -89,6 +90,11 @@ class QueryLog:
     def unique_queries(self) -> list[str]:
         """Distinct normalized query strings, sorted for determinism."""
         return sorted(self._query_counts)
+
+    @property
+    def query_counts(self) -> Mapping[str, int]:
+        """Read-only ``normalized query -> row count`` view (unordered)."""
+        return MappingProxyType(self._query_counts)
 
     def query_frequency(self, query: str) -> int:
         """How many log rows issued *query* (after normalization)."""

@@ -33,8 +33,8 @@ Admission control and shed tiers
     Tiers 1 and 2 ride into the workers as ``SuggestRequest.shed`` (see
     :class:`~repro.core.serving.ShedOptions`); tier 3 is answered here.
     Each tier entry is counted in ``serve.http.shed.{rerank,personalize,
-    reject}``.  Hot-table hits are unaffected — they are O(1) whatever
-    the tier.
+    reject}``.  Hot-memo hits are unaffected — they are O(1) whatever
+    the tier (degraded answers never fill the memo).
 
 Deadlines
     Each request carries a deadline (``deadline_ms`` query parameter,
@@ -93,11 +93,17 @@ _BATCH_SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
 #: Hard cap on an HTTP request body (bytes) — requests are tiny JSON.
 _MAX_BODY_BYTES = 1 << 20
 
+#: Seconds a client gets to deliver a request's headers and body once its
+#: request line arrived (408 after that).  Idle keep-alive time between
+#: requests is not bounded by it.
+_REQUEST_READ_TIMEOUT_S = 10.0
+
 _REASONS = {
     200: "OK",
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    408: "Request Timeout",
     413: "Payload Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
@@ -188,11 +194,47 @@ class _Ticket:
     future: asyncio.Future = field(init=False)
 
 
-async def _read_request(reader: asyncio.StreamReader) -> _HttpRequest | None:
-    """Parse one HTTP/1.1 request off *reader* (``None`` on clean EOF)."""
+async def _read_line(reader: asyncio.StreamReader, what: str) -> bytes:
+    """One CRLF-terminated line; over-long lines are a 400, not a crash."""
     try:
-        line = await reader.readline()
-    except (ValueError, ConnectionError):
+        return await reader.readline()
+    except ValueError:  # longer than the StreamReader limit
+        raise _BadRequest(f"{what} too long") from None
+
+
+async def _read_head_and_body(
+    reader: asyncio.StreamReader,
+) -> tuple[dict[str, str], bytes] | None:
+    """The headers and body after a request line (``None`` on EOF)."""
+    headers: dict[str, str] = {}
+    while True:
+        raw = await _read_line(reader, "header line")
+        if not raw:
+            return None
+        if raw in (b"\r\n", b"\n"):
+            break
+        name, _, value = raw.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    declared = headers.get("content-length", "0") or "0"
+    if not (declared.isascii() and declared.isdigit()):
+        raise _BadRequest(f"malformed Content-Length {declared!r}")
+    length = int(declared)
+    if length > _MAX_BODY_BYTES:
+        raise _BadRequest("request body too large", status=413)
+    body = await reader.readexactly(length) if length else b""
+    return headers, body
+
+
+async def _read_request(reader: asyncio.StreamReader) -> _HttpRequest | None:
+    """Parse one HTTP/1.1 request off *reader* (``None`` on clean EOF).
+
+    Malformed framing raises :class:`_BadRequest` (400/413); a client
+    that stalls after its request line raises it with 408 once
+    :data:`_REQUEST_READ_TIMEOUT_S` has passed.
+    """
+    try:
+        line = await _read_line(reader, "request line")
+    except ConnectionError:
         return None
     if not line or line in (b"\r\n", b"\n"):
         return None
@@ -200,19 +242,15 @@ async def _read_request(reader: asyncio.StreamReader) -> _HttpRequest | None:
         method, target, version = line.decode("latin-1").strip().split(" ", 2)
     except ValueError:
         raise _BadRequest("malformed request line") from None
-    headers: dict[str, str] = {}
-    while True:
-        raw = await reader.readline()
-        if not raw:
-            return None
-        if raw in (b"\r\n", b"\n"):
-            break
-        name, _, value = raw.decode("latin-1").partition(":")
-        headers[name.strip().lower()] = value.strip()
-    length = int(headers.get("content-length", "0") or "0")
-    if length > _MAX_BODY_BYTES:
-        raise _BadRequest("request body too large", status=413)
-    body = await reader.readexactly(length) if length else b""
+    try:
+        rest = await asyncio.wait_for(
+            _read_head_and_body(reader), _REQUEST_READ_TIMEOUT_S
+        )
+    except asyncio.TimeoutError:
+        raise _BadRequest("request read timed out", status=408) from None
+    if rest is None:
+        return None
+    headers, body = rest
     parts = urlsplit(target)
     keep_alive = headers.get("connection", "").lower() != "close" and (
         version.upper() != "HTTP/1.0"

@@ -42,22 +42,24 @@ Concurrent callers (the front-end contract)
     worker forwards to ``PQSDA.suggest`` — the degraded modes the HTTP
     front-end (:mod:`repro.serve.frontend`) sheds into under load.
 
-Hot-query fast tier
+Hot-query memo
     Real query streams are head-skewed.  Given ``hot_queries`` (or
-    ``hot_top`` over streaming epochs), the pool precomputes the full
-    expand/solve/walk pipeline for those head queries at publish time,
-    packs the results into the same shared segment as the matrices (see
-    :class:`~repro.serve.shm.SharedHotTable`), verifies the packed bytes
-    round-trip bit-identically, and answers context-free hits O(1) in
-    the parent — head traffic never touches a worker queue.  The table
-    stores each query's full diversified ranking, which never depends on
-    the request's ``k`` (``suggest`` slices ``ranking[:k]``), so any
-    ``k`` is served from the same entry; requests carrying a search
-    context — or a profiled ``user_id``, whose worker-side ranking would
-    be Borda-fused with preference scores the table never saw — take the
-    full worker path.  Every :meth:`~SuggestWorkerPool.publish_plane` /
-    epoch swap rebuilds the table against the new generation and swaps it
-    atomically with the segment, so no stale answer survives an epoch.
+    ``hot_top`` over streaming epochs), the parent keeps a per-generation
+    memo of the head queries' full diversified rankings and answers
+    repeats O(1) without touching a worker queue.  The memo is filled by
+    worker answers, never computed by the parent: a hot-eligible miss is
+    sent with ``k = max(k, diversify.k)``, so the reply is the query's
+    full ranking, which never depends on the request's ``k`` (``suggest``
+    slices ``ranking[:k]``); any later ``k`` is served from that entry.
+    Only hot-set queries without a search context, asked by users the
+    worker would not Borda-fuse (see ``_personalizes``), are eligible.
+    A reply enters the memo only when it carries no error, ran at shed
+    tier 0, and was computed on the memo's generation: workers tag every
+    reply envelope with their (plane, profile) generation pair, and the
+    parent replaces the ``(generation, hot set, answers)`` memo in one
+    reference assignment after the acks of every publish.  So an answer
+    from one generation is never served on another, and a publish only
+    flushes the memo — it never computes hot rankings.
 
 Shared profile plane (personalized serving)
     Given ``profiles`` (or a profile-bearing suggester via
@@ -100,21 +102,15 @@ import time
 import traceback
 import zlib
 from dataclasses import asdict, dataclass
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from multiprocessing import get_context
-from typing import Sequence
 
 from repro.baselines.base import SuggestRequest
 from repro.core.config import PQSDAConfig
 from repro.core.serving import CacheStats
 from repro.core.suggester import PQSDA
 from repro.graphs.compact import RandomWalkExpander
-from repro.graphs.shard import (
-    ShardPlan,
-    ShardSlice,
-    ShardedExpander,
-    build_shard_slices,
-)
+from repro.graphs.shard import ShardPlan, ShardSlice, build_shard_slices
 from repro.logs.schema import QueryRecord
 from repro.obs.registry import MetricsRegistry, NULL_REGISTRY
 from repro.personalize.profiles import (
@@ -132,13 +128,7 @@ from repro.serve.shard_plane import (
     ShardSegmentMeta,
     SharedShardStore,
 )
-from repro.serve.shm import (
-    AttachedPlane,
-    SharedHotTable,
-    SharedMatrixStore,
-    SharedPlaneMeta,
-    SharedRepresentation,
-)
+from repro.serve.shm import AttachedPlane, SharedMatrixStore
 from repro.utils.text import normalize_query
 
 __all__ = [
@@ -206,32 +196,6 @@ def _attach_worker_plane(meta, worker_id: int):
     return AttachedPlane(meta)
 
 
-class _ShardedHotView:
-    """Parent-side hot-table lookup composed over per-shard partitions.
-
-    Each shard's hot entries live in that shard's segment, so a
-    per-shard swap replaces exactly one partition; lookups route by the
-    plan's home-shard hash like every other request.
-    """
-
-    def __init__(self, plan: ShardPlan, tables: dict[int, SharedHotTable]):
-        self._plan = plan
-        self._tables = dict(tables)
-
-    def __len__(self) -> int:
-        return sum(len(table) for table in self._tables.values())
-
-    def lookup(self, normalized_query: str) -> list[str] | None:
-        table = self._tables.get(self._plan.shard_of(normalized_query))
-        return table.lookup(normalized_query) if table is not None else None
-
-    def replace(self, shard_id: int, table: SharedHotTable | None) -> None:
-        if table is None:
-            self._tables.pop(shard_id, None)
-        else:
-            self._tables[shard_id] = table
-
-
 @dataclass(frozen=True, slots=True)
 class SuggestError:
     """Per-request failure marker returned by ``suggest_many(return_errors=True)``.
@@ -261,16 +225,17 @@ class _PendingBatch:
         self.outstanding = outstanding
 
 
-def _encode_request(request: SuggestRequest) -> tuple:
+def _encode_request(request: SuggestRequest, k: int) -> tuple:
     """Primitive-tuple encoding of one request for a worker envelope.
 
     Dataclass pickling (class lookup + per-field ``__reduce__``) is the
     measurable per-request cost of the old one-message-per-request path;
-    plain tuples of builtins keep the envelope compact.
+    plain tuples of builtins keep the envelope compact.  *k* replaces the
+    request's own ``k`` (memo fills ask for the full ranking).
     """
     return (
         request.query,
-        request.k,
+        k,
         request.user_id,
         tuple(
             (r.user_id, r.query, r.timestamp, r.clicked_url, r.record_id)
@@ -281,26 +246,9 @@ def _encode_request(request: SuggestRequest) -> tuple:
     )
 
 
-def _verified_hot_table(
-    store: SharedMatrixStore, computed: dict[str, list[str]] | None
-) -> SharedHotTable | None:
-    """The store's packed hot table, bit-identity-checked entry by entry.
-
-    Every ranking that went in must come back out of the packed segment
-    bytes verbatim — this is the publish-time proof that a hot hit equals
-    the full expand/solve/walk path it was precomputed from.
-    """
-    if not computed:
-        return None
-    packed = store.hot_table()
-    for query, ranking in computed.items():
-        unpacked = packed.lookup(query)
-        if unpacked != list(ranking):
-            raise RuntimeError(
-                f"hot-table round-trip mismatch for {query!r}: packed "
-                f"{unpacked!r} != computed {list(ranking)!r}"
-            )
-    return packed
+def _hot_set(queries: Sequence[str] | None) -> frozenset[str]:
+    """The normalized hot set the memo admits (empty = hot tier off)."""
+    return frozenset(normalize_query(query) for query in queries or ())
 
 
 def _profile_arrays(
@@ -422,7 +370,15 @@ def _worker_main(
                         replies.append((None, traceback.format_exc()))
                 busy_seconds += time.perf_counter() - begin
                 requests_served += len(items)
-                reply_queue.put(("bres", batch_id, worker_id, replies))
+                reply_queue.put(
+                    (
+                        "bres",
+                        batch_id,
+                        worker_id,
+                        (generation, profile_generation),
+                        replies,
+                    )
+                )
             elif kind == "swap":
                 _, new_meta, new_generation, touched = message
                 swap_start = time.perf_counter()
@@ -613,11 +569,12 @@ class PoolStats:
         segment_bytes: Bytes of the current shared segment (counted once,
             however many workers attach).
         workers: Per-worker counters, ordered by ``worker_id``.
-        hot_entries: Entries in the current generation's hot-query table
-            (0 when the hot tier is off).
-        hot_hits: Requests the parent answered O(1) from the hot table
-            since the pool started — these never reached a worker, so
-            they are *not* part of any worker's ``requests`` count.
+        hot_entries: Head-query answers memoized for the current
+            generation (0 when the hot tier is off or nothing was asked
+            yet; never more than the hot set).
+        hot_hits: Requests the parent answered O(1) from the memo since
+            the pool started — these never reached a worker, so they are
+            *not* part of any worker's ``requests`` count.
         profile_users: Profiled users in the current profile generation
             (0 = the pool serves without the profile plane).
         profile_generation: Current profile generation ordinal.
@@ -675,15 +632,14 @@ class SuggestWorkerPool:
         ack_timeout: Seconds to wait for swap acks, batch replies and
             stats replies.
         prefix: Shared-memory segment name prefix.
-        hot_queries: Head queries to precompute into the shared hot-query
-            table (``None``/empty = no hot tier).  Use
+        hot_queries: Head queries whose worker answers the parent memoizes
+            per generation (``None``/empty = no hot tier).  Use
             :func:`repro.core.suggester.head_queries` to extract them
             from a log by frequency.
         hot_top: When > 0 and the pool is wired to an epoch manager,
             every epoch publish re-derives ``hot_top`` head queries from
-            the epoch's log and rebuilds the table against the new
-            generation (explicit ``hot_queries`` seed the table until the
-            first epoch arrives).
+            the epoch's log as the new generation's hot set (explicit
+            ``hot_queries`` serve until the first epoch arrives).
         n_shards: Partition the graph plane into this many per-shard
             segments (0 = the single-segment plane).  Sharded serving is
             bit-identical to unsharded at any shard count; requests route
@@ -727,9 +683,8 @@ class SuggestWorkerPool:
         self._prefix = prefix
         self._generation = 0
         self._closed = False
-        self._hot_queries = list(hot_queries) if hot_queries else None
+        self._hot = _hot_set(hot_queries)
         self._hot_top = hot_top
-        self._hot = None
         self._hot_hits_total = 0
         if shard_plan is None and n_shards > 0:
             shard_plan = ShardPlan.hashed(n_shards)
@@ -760,9 +715,6 @@ class SuggestWorkerPool:
         self._m_shards = registry.gauge("serve.shard.count")
         self._m_shard_swaps = registry.counter("serve.shard.swaps")
 
-        hot_table = self._compute_hot_table(
-            expander, multibipartite, self._hot_queries
-        )
         self._store: SharedMatrixStore | None = None
         self._shard_stores: dict[int, SharedShardStore] = {}
         self._slices: dict[int, ShardSlice] = {}
@@ -772,9 +724,8 @@ class SuggestWorkerPool:
                 expander.matrices, self._plan, multibipartite
             )
             self._shard_stores = self._publish_shard_stores(
-                self._slices, epoch_id=0, hot_table=hot_table
+                self._slices, epoch_id=0
             )
-            self._hot = self._verified_shard_hot(self._shard_stores, hot_table)
         else:
             self._store = SharedMatrixStore.publish(
                 expander.matrices,
@@ -782,9 +733,7 @@ class SuggestWorkerPool:
                 multibipartite,
                 epoch_id=0,
                 prefix=prefix,
-                hot_table=hot_table,
             )
-            self._hot = _verified_hot_table(self._store, hot_table)
         self._profile_store: SharedProfileStore | None = None
         self._profile_generation = 0
         self._profiled_users: frozenset[str] = frozenset()
@@ -796,6 +745,7 @@ class SuggestWorkerPool:
             self._profile_generation = self._profile_store.generation
             self._profiled_users = frozenset(arrays.users)
             self._m_profile_users.set(len(arrays.users))
+        self._reset_memo()
         context = get_context(start_method)
         self._request_queues = [context.Queue() for _ in range(n_workers)]
         self._reply_queue = context.Queue()
@@ -851,8 +801,9 @@ class SuggestWorkerPool:
 
         One thread owns the read side of the shared reply queue for the
         pool's whole lifetime.  Each ``("bres", batch_id, worker_id,
-        replies)`` envelope is matched to its :class:`_PendingBatch` by
-        id and recorded; the batch's waiter is woken only when every
+        generation, replies)`` envelope is matched to its
+        :class:`_PendingBatch` by id and recorded with the worker's
+        generation tag; the batch's waiter is woken only when every
         expected worker has replied.  Envelopes whose batch is no longer
         registered (it timed out and was deregistered) are drained here —
         the same stale-reply guarantee as before, without a whole-call
@@ -865,7 +816,7 @@ class SuggestWorkerPool:
                 continue
             except (EOFError, OSError, ValueError):  # pragma: no cover
                 return  # queue torn down mid-shutdown
-            _, batch_id, worker_id, replies = message
+            _, batch_id, worker_id, generation, replies = message
             done = False
             with self._pending_lock:
                 pending = self._pending.get(batch_id)
@@ -873,55 +824,28 @@ class SuggestWorkerPool:
                     # Stale envelope from a batch that timed out (and was
                     # deregistered) in an earlier call: drain, never match.
                     continue
-                pending.replies[worker_id] = replies
+                pending.replies[worker_id] = (generation, replies)
                 pending.outstanding -= len(replies)
                 done = len(pending.replies) == len(pending.expected)
             self._m_depth.dec(len(replies))
             if done:
                 pending.event.set()
 
-    def _compute_hot_table(
-        self,
-        expander: RandomWalkExpander,
-        multibipartite,
-        hot_queries: Sequence[str] | None,
-    ) -> dict[str, list[str]] | None:
-        """Precompute ``{query: full diversified ranking}`` for the head.
+    def _reset_memo(self, carry: bool = False) -> None:
+        """Start the hot-answer memo of the generation just acked.
 
-        Runs the full expand/solve/walk pipeline in the parent against
-        exactly the representation being published, so a packed entry is
-        the same bytes a worker would compute.  The ranking never depends
-        on the request's ``k`` (``suggest`` returns ``ranking[:k]``), so
-        one entry serves every ``k``.
+        One reference assignment swaps ``(generation, hot set, answers)``
+        together; the answers start empty unless *carry* copies them
+        over.  Publishers call this after every worker acked and after
+        updating ``_profiled_users``, so a caller that snapshots the memo
+        and then checks ``_personalizes`` sees profiled users at least
+        as new as the memo's profile generation.
         """
-        if not hot_queries:
-            return None
-        representation = multibipartite
-        if representation is None:
-            # No term index crosses to the workers either; membership is
-            # all the pipeline needs for in-graph head queries.
-            matrices = expander.matrices
-            representation = SharedRepresentation(
-                queries=matrices.queries, query_index=matrices.query_index
-            )
-        suggester = PQSDA(representation, expander, None, self._config)
-        table: dict[str, list[str]] = {}
-        for query in hot_queries:
-            normalized = normalize_query(query)
-            if normalized in table:
-                continue
-            if (
-                normalized not in representation
-                and multibipartite is None
-                and self._config.term_backoff
-            ):
-                # The backoff needs the term index the parent does not
-                # hold here; leave unseen queries to the cold path.
-                continue
-            table[normalized] = suggester.diversified_candidates(
-                normalized
-            ).top(self._config.diversify.k)
-        return table or None
+        self._memo = (
+            (self._generation, self._profile_generation),
+            self._hot,
+            dict(self._memo[2]) if carry else {},
+        )
 
     # -- sharded-plane helpers ---------------------------------------------------
 
@@ -938,27 +862,13 @@ class SuggestWorkerPool:
             )
         return self._store.meta
 
-    def _hot_partition(
-        self, hot_table: Mapping[str, Sequence[str]] | None, shard_id: int
-    ) -> dict[str, list[str]] | None:
-        """The slice of *hot_table* homed on *shard_id* (None when empty)."""
-        if not hot_table:
-            return None
-        partition = {
-            query: ranking
-            for query, ranking in hot_table.items()
-            if self._plan.shard_of(query) == shard_id
-        }
-        return partition or None
-
     def _publish_shard_stores(
         self,
         slices: Mapping[int, ShardSlice],
         epoch_id: int,
-        hot_table: Mapping[str, Sequence[str]] | None,
         multibipartite=None,
     ) -> dict[int, SharedShardStore]:
-        """One fresh segment per shard (hot entries partitioned by home)."""
+        """One fresh segment per shard."""
         representation = (
             multibipartite
             if multibipartite is not None
@@ -975,7 +885,6 @@ class SuggestWorkerPool:
                     epoch_id=epoch_id,
                     prefix=f"{self._prefix}-s",
                     term_bipartite=term_bipartite,
-                    hot_table=self._hot_partition(hot_table, shard_id),
                 )
         except Exception:
             for store in stores.values():
@@ -987,22 +896,6 @@ class SuggestWorkerPool:
                 "serve.shard.segment_bytes", labels={"shard": str(shard_id)}
             ).set(store.total_bytes)
         return stores
-
-    def _verified_shard_hot(
-        self,
-        stores: Mapping[int, SharedShardStore],
-        hot_table: Mapping[str, Sequence[str]] | None,
-    ) -> "_ShardedHotView | None":
-        """Round-trip-verified per-shard hot view (None when no hot tier)."""
-        if not hot_table:
-            return None
-        tables: dict[int, SharedHotTable] = {}
-        for shard_id, store in stores.items():
-            partition = self._hot_partition(hot_table, shard_id)
-            packed = _verified_hot_table(store, partition)
-            if packed is not None:
-                tables[shard_id] = packed
-        return _ShardedHotView(self._plan, tables)
 
     def _check_workers_alive(self) -> None:
         dead = [
@@ -1107,13 +1000,12 @@ class SuggestWorkerPool:
 
     @property
     def hot_entries(self) -> int:
-        """Entries in the current generation's hot table (0 = tier off)."""
-        hot = self._hot
-        return len(hot) if hot is not None else 0
+        """Head-query answers memoized for the current generation."""
+        return len(self._memo[2])
 
     @property
     def hot_hits(self) -> int:
-        """Requests answered O(1) from the hot table since startup."""
+        """Requests answered O(1) from the memo since startup."""
         return self._hot_hits_total
 
     @property
@@ -1192,8 +1084,8 @@ class SuggestWorkerPool:
 
         Mirrors the worker-side gate in ``PQSDA.suggest`` exactly
         (personalization on, profile plane attached, user profiled), so
-        the parent's hot tier only answers requests whose worker result
-        would equal the unpersonalized precomputed ranking.
+        the parent's hot memo only serves and stores requests whose
+        worker result is the unpersonalized ranking.
         """
         return (
             user_id is not None
@@ -1208,14 +1100,15 @@ class SuggestWorkerPool:
     ) -> list:
         """Suggestions for *requests*, in order (``suggest_batch`` semantics).
 
-        Context-free requests whose query sits in the hot table are
-        answered O(1) in this process; the rest are grouped by route and
-        sent as one envelope per worker (one reply envelope comes back
-        per batch).  Thread-safe and genuinely concurrent: overlapping
-        calls from different threads dispatch independently and each
-        waits only on its own batch — the reply-dispatcher thread
-        correlates envelopes by batch id, so one slow batch never stalls
-        another caller.
+        Hot-eligible requests whose answer the current generation's memo
+        holds are answered O(1) in this process (tier-0 misses ask the
+        worker for the full ranking and fill the memo); the rest are
+        grouped by route and sent as one envelope per worker (one reply
+        envelope comes back per batch).  Thread-safe and genuinely
+        concurrent: overlapping calls from different threads dispatch
+        independently and each waits only on its own batch — the
+        reply-dispatcher thread correlates envelopes by batch id, so one
+        slow batch never stalls another caller.
 
         Error semantics: with the default ``return_errors=False`` a
         worker-side exception re-raises here with the worker traceback
@@ -1235,30 +1128,36 @@ class SuggestWorkerPool:
             raise RuntimeError("pool is closed")
         self._m_requests.inc(len(requests))
         results: list = [None] * len(requests)
-        hot = self._hot
+        # Snapshot the memo before any _personalizes call (see _reset_memo).
+        generation, hot, answers = self._memo
         by_worker: dict[int, list[int]] = {}
+        fills: dict[int, str] = {}
         hot_hits = 0
         for position, request in enumerate(requests):
-            # The hot entry was precomputed without a context and
-            # without personalization; the ranking is k- and
+            # A memo entry is the full ranking of a context-free,
+            # unpersonalized request; the ranking is k- and
             # timestamp-independent (timestamps only weight context
             # records), so no-context hits of any k are exact —
             # *except* for profiled users, whose worker-side ranking
-            # is Borda-fused with their preference scores.  A hot hit
-            # for them would silently drop the fusion, so profiled
-            # requests always take the worker path.  (Shed tiers don't
-            # gate hot hits: a hit is O(1) either way, and its full
-            # ranking's head equals — or beats — any degraded tier's.)
+            # is Borda-fused with their preference scores, so profiled
+            # requests always take the worker path.  Shed tiers don't
+            # gate hits (a hit's full ranking equals or beats any
+            # degraded tier's) but do gate fills: a degraded answer is
+            # never memoized.
             if (
-                hot is not None
+                hot
                 and not request.context
                 and not self._personalizes(request.user_id)
             ):
-                ranking = hot.lookup(normalize_query(request.query))
-                if ranking is not None:
-                    results[position] = ranking[: request.k]
-                    hot_hits += 1
-                    continue
+                normalized = normalize_query(request.query)
+                if normalized in hot:
+                    ranking = answers.get(normalized)
+                    if ranking is not None:
+                        results[position] = ranking[: request.k]
+                        hot_hits += 1
+                        continue
+                    if request.shed == 0:
+                        fills[position] = normalized
             by_worker.setdefault(
                 self._route(request.query), []
             ).append(position)
@@ -1278,7 +1177,12 @@ class SuggestWorkerPool:
         try:
             for worker_id, positions in by_worker.items():
                 envelope = [
-                    _encode_request(requests[position])
+                    _encode_request(
+                        requests[position],
+                        max(requests[position].k, self._config.diversify.k)
+                        if position in fills
+                        else requests[position].k,
+                    )
                     for position in positions
                 ]
                 self._m_batch_size.observe(len(envelope))
@@ -1300,9 +1204,18 @@ class SuggestWorkerPool:
                     # name instead of timing out anonymously.
                     self._check_workers_alive()
             for worker_id, positions in by_worker.items():
-                replies = pending.replies[worker_id]
+                reply_generation, replies = pending.replies[worker_id]
                 for position, (result, error) in zip(positions, replies):
                     if error is None:
+                        normalized = fills.get(position)
+                        if normalized is not None:
+                            # Only an answer computed on the memo's own
+                            # generation may fill it: a publish that landed
+                            # between dispatch and reply leaves the answer
+                            # to this caller alone.
+                            if reply_generation == generation:
+                                answers[normalized] = result
+                            result = result[: requests[position].k]
                         results[position] = result
                     elif return_errors:
                         results[position] = SuggestError(worker_id, error)
@@ -1361,12 +1274,10 @@ class SuggestWorkerPool:
         into each worker's targeted cache invalidation (``None`` flushes
         the caches wholesale).
 
-        The hot-query table is rebuilt against the new generation —
-        from *hot_queries* when given, else from the pool's stored head
-        list — packed into the new segment, round-trip verified, and
-        swapped in the same reference assignment as the segment, so no
-        request ever gets a hot answer from a superseded generation after
-        the swap completes.
+        After the acks the hot memo restarts empty for the new
+        generation, over *hot_queries* when given (else the current hot
+        set), so no request gets a hot answer from a superseded
+        generation once the swap completes.
         """
         if self._closed:
             raise RuntimeError("pool is closed")
@@ -1379,13 +1290,6 @@ class SuggestWorkerPool:
                 if multibipartite is not None
                 else self._multibipartite
             )
-            if hot_queries is not None:
-                hot_queries = list(hot_queries)
-            else:
-                hot_queries = self._hot_queries
-            hot_table = self._compute_hot_table(
-                expander, publish_multibipartite, hot_queries
-            )
             if self._plan is not None:
                 new_slices = build_shard_slices(
                     expander.matrices, self._plan, publish_multibipartite
@@ -1393,10 +1297,8 @@ class SuggestWorkerPool:
                 new_stores = self._publish_shard_stores(
                     new_slices,
                     epoch_id=epoch_id,
-                    hot_table=hot_table,
                     multibipartite=publish_multibipartite,
                 )
-                new_hot = self._verified_shard_hot(new_stores, hot_table)
                 payload = ShardedPlaneHandle(
                     plan=self._plan,
                     metas={
@@ -1413,9 +1315,7 @@ class SuggestWorkerPool:
                     publish_multibipartite,
                     epoch_id=epoch_id,
                     prefix=self._prefix,
-                    hot_table=hot_table,
                 )
-                new_hot = _verified_hot_table(new_store, hot_table)
                 payload = new_store.meta
                 cleanup = [new_store]
             touched_payload = (
@@ -1428,8 +1328,7 @@ class SuggestWorkerPool:
             self._await_swap_acks(generation, cleanup)
             # Every worker acked: nobody can still be serving from the old
             # segment(s), so removing them is safe now and not a moment
-            # before.  The hot table swaps with the store: answers served
-            # after this point come from the new generation's entries.
+            # before.
             if self._plan is not None:
                 old_stores = list(self._shard_stores.values())
                 self._shard_stores = new_stores
@@ -1438,9 +1337,10 @@ class SuggestWorkerPool:
             else:
                 old_stores = [self._store]
                 self._store = new_store
-            self._hot = new_hot
-            self._hot_queries = hot_queries
+            if hot_queries is not None:
+                self._hot = _hot_set(hot_queries)
             self._generation = generation
+            self._reset_memo()
             self._m_generations.inc()
             for old_store in old_stores:
                 old_store.unlink()
@@ -1501,17 +1401,15 @@ class SuggestWorkerPool:
         The per-shard half of the generation handshake: a delta that
         touched only shard *piece.shard_id* repacks that shard's segment,
         sends an ``sswap`` down each worker's request queue (workers
-        remap just that shard — every other shard's views, the hot
-        entries of other shards and the profile plane are untouched), and
-        unlinks the superseded shard segment after all acks.  *touched*
-        drives the workers' targeted cache invalidation exactly like a
-        full publish.
+        remap just that shard — every other shard's views and the
+        profile plane are untouched), and unlinks the superseded shard
+        segment after all acks.  *touched* drives the workers' targeted
+        cache invalidation exactly like a full publish, and the hot memo
+        restarts empty: a walk from any shard may cross the changed one.
 
         Per-shard publishes must keep the shard's query set: new queries
         renumber the global ordinal space, so deltas carrying them take
-        :meth:`publish_plane` / :meth:`publish_epoch` instead.  The
-        shard's hot entries are recomputed against the updated plane so a
-        hot hit can never disagree with the worker path.
+        :meth:`publish_plane` / :meth:`publish_epoch` instead.
         """
         if self._closed:
             raise RuntimeError("pool is closed")
@@ -1533,21 +1431,6 @@ class SuggestWorkerPool:
                 if multibipartite is not None
                 else self._multibipartite
             )
-            hot_partition = None
-            if self._hot_queries:
-                homed = [
-                    query
-                    for query in self._hot_queries
-                    if self._plan.shard_of(query) == shard_id
-                ]
-                if homed:
-                    updated = dict(self._slices)
-                    updated[shard_id] = piece
-                    hot_partition = self._compute_hot_table(
-                        ShardedExpander(self._plan, slices=updated),
-                        representation,
-                        homed,
-                    )
             new_store = SharedShardStore.publish(
                 piece,
                 epoch_id=epoch_id,
@@ -1557,9 +1440,7 @@ class SuggestWorkerPool:
                     if representation is not None
                     else None
                 ),
-                hot_table=hot_partition,
             )
-            new_hot = _verified_hot_table(new_store, hot_partition)
             touched_payload = (
                 frozenset(touched) if touched is not None else None
             )
@@ -1571,9 +1452,8 @@ class SuggestWorkerPool:
             old_store = self._shard_stores[shard_id]
             self._shard_stores[shard_id] = new_store
             self._slices[shard_id] = piece
-            if isinstance(self._hot, _ShardedHotView):
-                self._hot.replace(shard_id, new_hot)
             self._generation = generation
+            self._reset_memo()
             self._m_generations.inc()
             self._m_shard_swaps.inc()
             self._registry.counter(
@@ -1654,6 +1534,10 @@ class SuggestWorkerPool:
             self._profile_store = new_store
             self._profile_generation = generation
             self._profiled_users = frozenset(arrays.users)
+            # Profiles never change an unpersonalized ranking, so the
+            # memo's answers carry over; the new tag only rejects fills
+            # that straddled this swap.
+            self._reset_memo(carry=True)
             self._m_profile_swaps.inc()
             self._m_profile_users.set(len(arrays.users))
             if old_store is not None:
@@ -1663,9 +1547,9 @@ class SuggestWorkerPool:
     def publish_epoch(self, epoch) -> None:
         """Swap the pool onto a streaming :class:`~repro.stream.epoch.Epoch`.
 
-        With ``hot_top`` configured, the head list is re-extracted from
-        the epoch's cumulative log (traffic drifts; yesterday's head is
-        not today's) before the table is rebuilt and swapped.  An epoch
+        With ``hot_top`` configured, the hot set is re-extracted from the
+        epoch's cumulative log (traffic drifts; yesterday's head is not
+        today's) and takes effect with the new generation's memo.  An epoch
         carrying a folded profile generation (``epoch.profiles`` — see
         :class:`repro.stream.ingest.LogIngestor`) additionally rides a
         profile swap after the matrix swap, so click feedback reaches the
@@ -1675,8 +1559,7 @@ class SuggestWorkerPool:
         ``shard_updates`` under the same plan (the streaming layer
         produces them for deltas that add no queries): each touched
         shard's segment is republished through :meth:`publish_shard` and
-        every untouched shard's segment — and hot partition — survives
-        as-is.  Epochs without per-shard updates (new queries, plan
+        every untouched shard's segment survives as-is.  Epochs without per-shard updates (new queries, plan
         mismatch, unsharded ingestion) fall back to the full swap.
         """
         hot_queries = None
@@ -1688,8 +1571,9 @@ class SuggestWorkerPool:
             self._plan is not None
             and shard_updates is not None
             and shard_plan == self._plan
-            and hot_queries is None
         ):
+            if hot_queries is not None:
+                self._hot = _hot_set(hot_queries)
             for shard_id in sorted(shard_updates):
                 self.publish_shard(
                     shard_updates[shard_id],

@@ -4,8 +4,8 @@ The sharded counterpart of :mod:`repro.serve.shm`: instead of one segment
 holding the whole plane, each :class:`~repro.graphs.shard.ShardSlice`
 packs into its **own** named segment (:class:`SharedShardStore`), so a
 per-shard epoch publish creates, swaps and unlinks exactly one shard's
-bytes — the other shards' segments, the hot tier and the profile plane
-are untouched.
+bytes — the other shards' segments and the profile plane are
+untouched.
 
 A worker attaches only the shards it serves
 (:class:`AttachedShardedPlane` eagerly maps the home shards and lazily
@@ -42,12 +42,10 @@ from repro.graphs.matrices import csr_from_parts
 from repro.graphs.multibipartite import BIPARTITE_KINDS
 from repro.graphs.shard import ShardPlan, ShardSlice, ShardedExpander
 from repro.serve.shm import (
-    SharedHotTable,
     SharedTermBipartite,
     _ArraySpec,
     _decode_vocab,
     _encode_vocab,
-    _hot_table_arrays,
     _pack_segment,
     _term_adjacency,
     _unregister_from_tracker,
@@ -93,11 +91,6 @@ class ShardSegmentMeta:
         """Whether the shard's query-term adjacency was published."""
         return "terms.blob" in self.arrays
 
-    @property
-    def has_hot_table(self) -> bool:
-        """Whether the shard's hot-query partition was published."""
-        return "hot.hashes" in self.arrays
-
 
 class SharedShardStore:
     """Publisher-side owner of one shard's shared segment.
@@ -122,7 +115,6 @@ class SharedShardStore:
         epoch_id: int = 0,
         prefix: str = "pqsda-shard",
         term_bipartite=None,
-        hot_table: Mapping[str, Sequence[str]] | None = None,
     ) -> "SharedShardStore":
         """Copy one shard slice into a fresh named segment.
 
@@ -131,10 +123,7 @@ class SharedShardStore:
         the shard's home queries before packing, so the published
         adjacency carries exactly the home rows of the global index (the
         cross-shard merge in :class:`ShardedTermBipartite` reassembles
-        the global dicts verbatim).  *hot_table* is this shard's
-        partition of the precomputed hot rankings — it rides the shard's
-        segment, so a per-shard swap refreshes exactly its own hot
-        entries.
+        the global dicts verbatim).
         """
         plan: list[tuple[str, np.ndarray]] = []
         csr_shapes: dict[str, tuple[int, int]] = {}
@@ -178,9 +167,6 @@ class SharedShardStore:
             plan.append(("terms.offsets", term_offsets))
             plan.extend(term_arrays.items())
 
-        if hot_table:
-            plan.extend(_hot_table_arrays(hot_table).items())
-
         segment, specs, total = _pack_segment(
             plan, f"{prefix}{piece.shard_id}", epoch_id
         )
@@ -219,26 +205,6 @@ class SharedShardStore:
     def total_bytes(self) -> int:
         """Bytes held by this shard's segment."""
         return self._meta.total_bytes
-
-    def hot_table(self) -> SharedHotTable | None:
-        """This shard's packed hot partition (snapshot arrays, not views)."""
-        if not self._meta.has_hot_table:
-            return None
-        meta = self._meta
-        segment = self._segment
-
-        def snapshot(name: str) -> np.ndarray:
-            spec = meta.arrays[name]
-            return np.array(
-                np.ndarray(
-                    spec.shape,
-                    dtype=spec.dtype,
-                    buffer=segment.buf,
-                    offset=spec.offset,
-                )
-            )
-
-        return SharedHotTable._from_views(snapshot)
 
     def unlink(self) -> None:
         """Remove the segment from the system (idempotent)."""
@@ -333,9 +299,6 @@ class AttachedShard:
                     view("termidx.tq.data"),
                 ),
             )
-        self.hot_table = (
-            SharedHotTable._from_views(view) if meta.has_hot_table else None
-        )
 
     @property
     def meta(self) -> ShardSegmentMeta:
@@ -370,7 +333,6 @@ class AttachedShard:
         self._closed = True
         self.slice = None
         self.term_bipartite = None
-        self.hot_table = None
         gc.collect()
         try:
             self._segment.close()

@@ -77,7 +77,7 @@ class Epoch:
 
         Frequencies come from the cumulative log snapshot, so the head
         tracks traffic drift epoch over epoch — this feeds the scale-out
-        pool's hot-query table refresh
+        pool's hot-query memo refresh
         (:meth:`repro.serve.pool.SuggestWorkerPool.publish_epoch` with
         ``hot_top``).
         """

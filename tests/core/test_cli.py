@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -292,8 +294,13 @@ class TestServe:
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "hot tier: 5 precomputed head queries" in out
-        assert "answered O(1) from the shared table" in out
+        assert "hot tier: answers to 5 head queries memoized" in out
+        # Round 1 fills the memo from worker answers; round 2 hits it.
+        match = re.search(r"hot tier: (\d+)/(\d+) hits", out)
+        assert match is not None
+        hits, served = int(match.group(1)), int(match.group(2))
+        assert 0 < hits < served
+        assert "answered O(1) from the per-generation memo" in out
 
     def test_personalize_serves_profiled_users(self, log_path, capsys):
         code = main(

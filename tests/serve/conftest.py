@@ -1,5 +1,7 @@
 """Shared serving-plane fixtures: one small synthetic world per package."""
 
+import time
+
 import pytest
 
 from repro.core import PQSDA, PQSDAConfig
@@ -28,6 +30,14 @@ SERVE_PERSONAL_CONFIG = PQSDAConfig(
     personalize=True,
     cache_size=64,
 )
+
+
+def wait_for(predicate, timeout=30.0):
+    """Poll *predicate* until it holds; fail the test after *timeout* s."""
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.01)
 
 
 @pytest.fixture(scope="package")

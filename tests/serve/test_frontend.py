@@ -7,6 +7,7 @@ a socket must equal ``suggest_batch`` bit for bit.
 """
 
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -16,6 +17,7 @@ import pytest
 
 from repro.baselines.base import SuggestRequest
 from repro.obs.registry import MetricsRegistry
+from repro.serve import frontend as frontend_module
 from repro.serve.frontend import (
     FrontendConfig,
     SuggestFrontend,
@@ -287,6 +289,103 @@ class TestHttpPlumbing:
             status, body = _get(handle.url + "/suggest?q=x&k=1")
             assert status == 500
             assert "outstanding" in body["error"]
+
+
+def _raw_exchange(handle, payload: bytes, timeout: float = 10.0) -> bytes:
+    """Send raw bytes, then read until the server closes the connection."""
+    with socket.create_connection(handle.address, timeout=timeout) as sock:
+        sock.sendall(payload)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
+
+
+def _status_of(response: bytes) -> int:
+    return int(response.split(b" ", 2)[1])
+
+
+class TestMalformedFraming:
+    """Broken framing gets a 4xx and a closed connection — never an
+    exception escaping the connection handler, never a silent hang."""
+
+    @pytest.fixture
+    def served(self, fast_config, caplog):
+        pool = FakePool()
+        with run_in_thread(pool, config=fast_config) as handle:
+            yield handle, pool
+            # The server is still healthy after every malformed client.
+            assert _get(handle.url + "/healthz")[0] == 200
+        assert not [
+            record
+            for record in caplog.records
+            if "client_connected_cb" in record.getMessage()
+        ]
+
+    @pytest.mark.parametrize("length", [b"abc", b"-5", b"1_0", b"0x10"])
+    def test_bad_content_length_is_a_400(self, served, length):
+        handle, pool = served
+        response = _raw_exchange(
+            handle,
+            b"POST /suggest HTTP/1.1\r\nContent-Length: " + length
+            + b"\r\n\r\n{}",
+        )
+        assert _status_of(response) == 400
+        assert b"Content-Length" in response
+        assert pool.calls == []
+
+    def test_header_line_over_the_stream_limit_is_a_400(self, served):
+        handle, _ = served
+        response = _raw_exchange(
+            handle,
+            b"GET /healthz HTTP/1.1\r\nX-Big: " + b"a" * 70_000 + b"\r\n\r\n",
+        )
+        assert _status_of(response) == 400
+        assert b"header line too long" in response
+
+    def test_stalled_request_gets_408_and_is_closed(
+        self, served, monkeypatch
+    ):
+        monkeypatch.setattr(frontend_module, "_REQUEST_READ_TIMEOUT_S", 0.3)
+        handle, _ = served
+        started = time.monotonic()
+        # A request line, one header, then silence (no blank line).
+        response = _raw_exchange(
+            handle, b"GET /healthz HTTP/1.1\r\nHost: x\r\n"
+        )
+        assert _status_of(response) == 408
+        assert time.monotonic() - started < 5.0
+
+    def test_stalled_body_gets_408(self, served, monkeypatch):
+        monkeypatch.setattr(frontend_module, "_REQUEST_READ_TIMEOUT_S", 0.3)
+        handle, pool = served
+        response = _raw_exchange(
+            handle,
+            b"POST /suggest HTTP/1.1\r\nContent-Length: 50\r\n\r\n{",
+        )
+        assert _status_of(response) == 408
+        assert pool.calls == []
+
+    def test_idle_keep_alive_between_requests_is_not_timed_out(
+        self, served, monkeypatch
+    ):
+        monkeypatch.setattr(frontend_module, "_REQUEST_READ_TIMEOUT_S", 0.3)
+        handle, _ = served
+        request = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+        with socket.create_connection(handle.address, timeout=10) as sock:
+            stream = sock.makefile("rb")
+            for _ in range(2):
+                sock.sendall(request)
+                status_line = stream.readline()
+                assert _status_of(status_line) == 200
+                headers = {}
+                for line in iter(stream.readline, b"\r\n"):
+                    name, _, value = line.decode().partition(":")
+                    headers[name.strip().lower()] = value.strip()
+                stream.read(int(headers["content-length"]))
+                time.sleep(1.0)  # idle well past the read timeout
 
 
 class TestEndToEnd:

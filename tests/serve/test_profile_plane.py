@@ -1,7 +1,9 @@
 """Shared profile plane: zero-copy attach, pooled bit-identity, swaps."""
 
 import os
+import signal
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from repro.personalize.profiles import ArrayProfileStore
 from repro.serve.pool import SuggestWorkerPool
 from repro.serve.profile_plane import SharedProfileStore, attach_profiles
 
-from tests.serve.conftest import SERVE_PERSONAL_CONFIG
+from tests.serve.conftest import SERVE_PERSONAL_CONFIG, wait_for
 
 
 def _dev_shm_entries(prefix):
@@ -127,21 +129,122 @@ def test_personalized_requests_bypass_hot_tier(
     hot = head_queries(synthetic_log, 10)
     user = profile_store.user_ids[0]
     probe = hot[0]
+    anonymous = personal_suggester.suggest(probe, k=8)
     with SuggestWorkerPool.from_suggester(
         personal_suggester,
         n_workers=1,
         prefix="t-bypass",
         hot_queries=hot,
     ) as pool:
-        assert pool.hot_entries > 0
-        # Profiled user: must take the worker path (Borda fusion)...
+        # Profiled user: takes the worker path (Borda fusion), and its
+        # fused answer never enters the memo.
         expected = personal_suggester.suggest(probe, k=8, user_id=user)
         assert pool.suggest(probe, k=8, user_id=user) == expected
-        assert pool.stats().hot_hits == 0
-        # ...while unprofiled users' requests stay hot-eligible.
-        pool.suggest(probe, k=8, user_id="ghost")
-        pool.suggest(probe, k=8)
-        assert pool.stats().hot_hits == 2
+        assert pool.hot_entries == 0
+        # Unprofiled users' requests fill the memo, then hit it...
+        assert pool.suggest(probe, k=8, user_id="ghost") == anonymous
+        assert pool.hot_entries == 1
+        assert pool.suggest(probe, k=8) == anonymous
+        assert pool.stats().hot_hits == 1
+        # ...while the profiled user still bypasses the filled memo.
+        assert pool.suggest(probe, k=8, user_id=user) == expected
+        assert pool.stats().hot_hits == 1
+
+
+def test_profile_publish_keeps_memoized_answers(
+    personal_suggester, multibipartite, expander, folded_store,
+    profile_store, synthetic_log,
+):
+    """Profiles never change an unpersonalized ranking: a profile swap
+    carries the memo over, and profiled users keep bypassing it."""
+    from repro.core.suggester import head_queries
+
+    hot = head_queries(synthetic_log, 4)
+    user = profile_store.user_ids[0]
+    anonymous = [SuggestRequest(query=q, k=8) for q in hot]
+    expected = personal_suggester.suggest_batch(anonymous)
+    after_single = PQSDA(
+        multibipartite, expander, folded_store, SERVE_PERSONAL_CONFIG
+    )
+    with SuggestWorkerPool.from_suggester(
+        personal_suggester, n_workers=2, prefix="t-pkeep", hot_queries=hot
+    ) as pool:
+        assert pool.suggest_many(anonymous) == expected
+        assert pool.hot_entries == len(hot)
+        pool.publish_profiles(folded_store)
+        assert pool.hot_entries == len(hot)
+        assert pool.suggest_many(anonymous) == expected
+        assert pool.hot_hits == len(hot)
+        assert pool.suggest(hot[0], k=8, user_id=user) == (
+            after_single.suggest(hot[0], k=8, user_id=user)
+        )
+        assert pool.hot_hits == len(hot)
+
+
+def test_profile_swap_straddling_a_fill_never_memoizes_a_fused_answer(
+    personal_suggester, profile_store, profile_arrays, synthetic_log
+):
+    """Deterministic straddle (SIGSTOP): the parent judges a request
+    unpersonalized, but its worker has already swapped onto a profile
+    generation that profiles the user.  The Borda-fused reply goes back
+    to its caller and never into the memo."""
+    from repro.core.suggester import head_queries
+
+    hot = head_queries(synthetic_log, 10)
+    user = profile_store.user_ids[0]
+    with SuggestWorkerPool.from_suggester(
+        personal_suggester,
+        n_workers=2,
+        prefix="t-pstraddle",
+        profiles=None,
+        hot_queries=hot,
+        ack_timeout=60.0,
+    ) as pool:
+        query = next(
+            q
+            for q in hot
+            if pool._route(q) == 0
+            and personal_suggester.suggest(q, k=8, user_id=user)
+            != personal_suggester.suggest(q, k=8)
+        )
+        fused = personal_suggester.suggest(query, k=8, user_id=user)
+        anonymous = personal_suggester.suggest(query, k=8)
+        queues = pool._request_queues
+        pids = [process.pid for process in pool._workers]
+        for pid in pids:
+            os.kill(pid, signal.SIGSTOP)
+        try:
+            publish = threading.Thread(
+                target=pool.publish_profiles, args=(profile_arrays,)
+            )
+            publish.start()
+            wait_for(lambda: all(q.qsize() == 1 for q in queues))
+            time.sleep(0.05)  # let the puts finish behind their semaphores
+            fill: list = []
+            filler = threading.Thread(
+                target=lambda: fill.append(
+                    pool.suggest(query, k=8, user_id=user)
+                )
+            )
+            filler.start()
+            wait_for(lambda: queues[0].qsize() == 2)
+            # Worker 0 swaps, then answers as a fused request; worker 1
+            # still holds the publish open.
+            os.kill(pids[0], signal.SIGCONT)
+            filler.join(timeout=60)
+            assert fill == [fused]
+            assert pool.profile_generation == 0
+            assert pool.hot_entries == 0
+        finally:
+            for pid in pids:
+                os.kill(pid, signal.SIGCONT)
+        publish.join(timeout=60)
+        assert pool.profile_generation == 1
+        assert pool.hot_entries == 0
+        assert pool.suggest(query, k=8) == anonymous  # fills
+        assert pool.suggest(query, k=8) == anonymous  # hits
+        assert pool.hot_hits == 1
+        assert pool.suggest(query, k=8, user_id=user) == fused
 
 
 # -- generation swaps ------------------------------------------------------------

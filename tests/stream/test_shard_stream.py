@@ -215,10 +215,16 @@ class TestEpochPlumbing:
 
 
 class TestEndToEndPoolSwap:
-    def test_streamed_epoch_swaps_only_touched_shards(self, split):
+    @staticmethod
+    def _streamed_swap(split, prefix, hot_top=0):
+        """Stream a one-shard delta into a sharded pool; check the swap.
+
+        Returns ``(pool, suggester, epoch)`` after asserting that only
+        the touched shard's segment moved to the new epoch; the caller
+        closes the pool.
+        """
         if "fork" not in multiprocessing.get_all_start_methods():
             pytest.skip("fork start method unavailable")
-        from repro.baselines.base import SuggestRequest
         from repro.core.config import PQSDAConfig
         from repro.serve.pool import SuggestWorkerPool
         from repro.stream import streaming_pqsda
@@ -243,7 +249,9 @@ class TestEndToEndPoolSwap:
             start_method="fork",
             n_shards=N_SHARDS,
             shard_plan=plan,
-            prefix="t-shstream",
+            prefix=prefix,
+            hot_queries=epoch0.head_queries(hot_top) or None,
+            hot_top=hot_top,
         )
         try:
             pool.attach_epochs(manager)
@@ -256,6 +264,16 @@ class TestEndToEndPoolSwap:
             for shard_id in range(N_SHARDS):
                 if shard_id != target:
                     assert after_ids[shard_id] == before_ids[shard_id]
+        except BaseException:
+            pool.close()
+            raise
+        return pool, suggester, epoch
+
+    def test_streamed_epoch_swaps_only_touched_shards(self, split):
+        from repro.baselines.base import SuggestRequest
+
+        pool, suggester, epoch = self._streamed_swap(split, "t-shstream")
+        try:
             requests = [
                 SuggestRequest(query=query, k=8)
                 for query in epoch.matrices.queries[:12]
@@ -264,5 +282,29 @@ class TestEndToEndPoolSwap:
                 suggester.suggest(r.query, k=r.k) for r in requests
             ]
             assert pool.suggest_many(requests) == expected
+        finally:
+            pool.close()
+
+    def test_hot_top_keeps_the_per_shard_path(self, split):
+        """The hot memo holds no per-shard state, so an epoch re-deriving
+        the head still swaps only the touched shard — and the memo
+        restarts on the new generation's head."""
+        from repro.baselines.base import SuggestRequest
+
+        pool, suggester, epoch = self._streamed_swap(
+            split, "t-shhottop", hot_top=3
+        )
+        try:
+            assert pool.hot_entries == 0
+            requests = [
+                SuggestRequest(query=query, k=8)
+                for query in epoch.head_queries(3)
+            ]
+            expected = [
+                suggester.suggest(r.query, k=r.k) for r in requests
+            ]
+            assert pool.suggest_many(requests) == expected
+            assert pool.suggest_many(requests) == expected
+            assert pool.hot_hits == len(requests)
         finally:
             pool.close()
