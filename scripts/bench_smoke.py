@@ -38,13 +38,6 @@ bytes once + per-worker RSS).
 ``--min-serve-scaling`` turns the 2-worker/1-worker tier-off QPS ratio
 into a guard (exit 1 below the bound; auto-skipped when the machine has
 fewer than 2 CPUs, where no scaling is physically available).
-``--shards N`` adds sharded sections: the serve record gains pooled QPS
-over the partitioned plane at shard counts {1, N} (per-shard segment
-bytes, cross-shard spill rate, QPS vs. the unsharded pool, bit-identity
-against the single-process path — shards=1 doubles as the no-regression
-control), and the ingest record gains per-shard fold/publish stats for
-the same shard counts (epochs carrying per-shard update sets, mean
-updates per epoch, throughput vs. the unsharded stream).
 ``--http`` adds an ``"http"`` section to the same record: the async
 front-end measured over real sockets — normal-load QPS and p50/p99 with
 every answer checked bit-identical to ``suggest_batch`` (shed counters
@@ -70,7 +63,7 @@ reader can tell a CI smoke number from a full-protocol sweep.
 Usage::
 
     PYTHONPATH=src python scripts/bench_smoke.py [--full|--quick]
-        [--ingest] [--upm] [--obs] [--serve] [--shards N] [--http]
+        [--ingest] [--upm] [--obs] [--serve] [--http]
         [--max-overhead-ratio R] [--min-serve-scaling R]
 """
 
@@ -100,9 +93,7 @@ N_PROBES = 15
 
 #: Ingest benchmark scales.  The quick profile is sized for CI; the full
 #: profile is big enough that per-epoch costs dominate per-batch fixed
-#: costs — the regime the parallel ingest plane is built for (the serial
-#: path re-derives the full plane every epoch, so its per-record cost
-#: grows with vocabulary size while the sharded lazy plane's does not).
+#: costs.
 INGEST_USERS_QUICK = 60
 INGEST_USERS_FULL = 800
 
@@ -224,24 +215,8 @@ def run_sweep(scales: tuple[int, ...]) -> dict:
     return result
 
 
-def run_ingest_bench(
-    n_users: int = INGEST_USERS_QUICK, n_shards: int = 0, fold_workers: int = 0
-) -> dict:
-    """Stream 30% of a log into a 70% bootstrap; record throughput + latency.
-
-    With *n_shards* the stream is replayed again over sharded states and
-    the record gains a ``sharded`` section, one entry per geometry: shard
-    counts ``{1, n_shards}`` with the serial fold (the 1-shard row is the
-    no-regression control) plus — with *fold_workers* — ``n_shards``
-    shards folded by that many parallel worker processes with pipelined
-    epoch publishes.  Each entry carries ingest throughput relative to
-    the unsharded serial run, the fold-only vs end-to-end split, and a
-    ``bit_identical`` check of the post-stream suggestions against the
-    batch rebuild.  The default config is cfiqf-weighted, whose
-    epoch-level |Q| correction rescales every facet weight — so every
-    epoch legitimately republishes all shards; the recorded
-    ``mean_shard_updates_per_epoch`` documents exactly that cost.
-    """
+def run_ingest_bench(n_users: int = INGEST_USERS_QUICK) -> dict:
+    """Stream 30% of a log into a 70% bootstrap; record throughput/latency."""
     from repro.stream import IngestConfig, replay, streaming_pqsda
 
     world = make_world(seed=0, pages_per_leaf=24)
@@ -306,94 +281,6 @@ def run_ingest_bench(
             warm_stream.mean_seconds / warm_batch.mean_seconds, 3
         ),
     }
-    if n_shards > 0:
-        from repro.graphs.shard import ShardPlan
-
-        expected = reference.suggest_batch(requests)
-        geometries = [(1, 0), (n_shards, 0)]
-        if fold_workers > 0:
-            geometries.append((n_shards, fold_workers))
-        sharded = []
-        for count, workers in dict.fromkeys(geometries):
-            suggester_s, ingestor_s, manager_s = streaming_pqsda(
-                bootstrap,
-                config=pq_config,
-                ingest=IngestConfig(batch_size=256, epoch_every=1, clean=False),
-                shard_plan=ShardPlan.hashed(count),
-                fold_workers=workers,
-            )
-            tally = {"epochs": 0, "updates": 0, "full": 0}
-
-            def _tally(epoch, tally=tally) -> None:
-                if epoch.shard_updates is None:
-                    tally["full"] += 1
-                else:
-                    tally["epochs"] += 1
-                    tally["updates"] += len(epoch.shard_updates)
-
-            manager_s.subscribe(_tally)
-            try:
-                report_s = ingestor_s.ingest(replay(tail))
-                entry = {
-                    "n_shards": count,
-                    "fold_workers": workers,
-                    "ingest_records_per_second": report_s.records_per_second,
-                    "fold_records_per_second": (
-                        report_s.fold_records_per_second
-                    ),
-                    "fold_seconds": round(report_s.fold_seconds, 3),
-                    "publish_seconds": round(report_s.publish_seconds, 3),
-                    "throughput_vs_unsharded": round(
-                        report_s.records_per_second
-                        / report.records_per_second,
-                        3,
-                    ),
-                    "epochs_published": manager_s.stats.published,
-                    "epochs_with_shard_updates": tally["epochs"],
-                    "full_publishes": tally["full"],
-                    "shard_updates_total": tally["updates"],
-                    "mean_shard_updates_per_epoch": round(
-                        tally["updates"] / tally["epochs"], 2
-                    ) if tally["epochs"] else 0.0,
-                    "bit_identical": (
-                        suggester_s.suggest_batch(requests) == expected
-                    ),
-                }
-                # Live tails keep minting new queries, which renumber the
-                # global ordinals and force full publishes — so the tail
-                # replay above never shows the per-shard path.  Replay a
-                # slice of now-known records to measure it: no new queries,
-                # every epoch carries a per-shard update set.
-                before = dict(tally)
-                ingestor_s.ingest(replay(tail[:120]))
-            finally:
-                if workers:
-                    ingestor_s.state.close()
-            epochs_known = tally["epochs"] - before["epochs"]
-            updates_known = tally["updates"] - before["updates"]
-            entry["known_replay"] = {
-                "records": min(120, len(tail)),
-                "epochs_with_shard_updates": epochs_known,
-                "full_publishes": tally["full"] - before["full"],
-                "mean_shard_updates_per_epoch": round(
-                    updates_known / epochs_known, 2
-                ) if epochs_known else 0.0,
-            }
-            sharded.append(entry)
-            print(
-                f"ingest[shards={count} fold_workers={workers}]: "
-                f"{report_s.records_per_second:,.0f} records/s "
-                f"(x{entry['throughput_vs_unsharded']} vs unsharded, "
-                f"fold-only {report_s.fold_records_per_second:,.0f}), "
-                f"{entry['epochs_with_shard_updates']}"
-                f"/{entry['epochs_published']} tail epochs carried "
-                f"per-shard updates; known replay: "
-                f"{entry['known_replay']['mean_shard_updates_per_epoch']} "
-                f"shard updates/epoch over "
-                f"{entry['known_replay']['epochs_with_shard_updates']} "
-                f"epochs, bit_identical={entry['bit_identical']}"
-            )
-        row["sharded"] = sharded
     print(
         f"ingest: {report.records_ingested} records at "
         f"{report.records_per_second:,.0f} records/s, "
@@ -664,14 +551,8 @@ def _rss_kb() -> int:
 
 SERVE_HOT_TOP = 20
 
-#: Worker count the sharded serve section runs at — the smallest pool
-#: where both parallel serving and cross-shard routing are exercised.
-SHARD_BENCH_WORKERS = 2
 
-
-def run_serve_bench(
-    n_users: int = 60, rounds: int = 3, n_shards: int = 0
-) -> dict:
+def run_serve_bench(n_users: int = 60, rounds: int = 3) -> dict:
     """Pooled QPS at 1/2/4 workers vs. the single-process serving path.
 
     One representation build; per worker count, two pools are measured:
@@ -688,14 +569,6 @@ def run_serve_bench(
     ``segment_mb`` counts the shared matrix bytes once — the marginal
     per-worker memory is each worker's own RSS (interpreter + caches),
     not another copy of the matrices.
-
-    With *n_shards* the record gains a ``sharded`` section: the same
-    workload served by ``SHARD_BENCH_WORKERS``-worker pools over the
-    partitioned plane at shard counts ``{1, n_shards}``, recording
-    per-shard segment bytes, the cross-shard spill rate, QPS relative to
-    the unsharded pool at the same worker count, and bit-identity
-    against the single-process path.  The 1-shard row is the
-    no-regression control: one segment behind the sharded routing path.
     """
     from repro.core.suggester import head_queries
     from repro.serve.pool import SuggestWorkerPool
@@ -813,58 +686,6 @@ def run_serve_bench(
     base_qps = row["workers"][0]["qps"]
     for entry in row["workers"]:
         entry["scaling_vs_1_worker"] = round(entry["qps"] / base_qps, 2)
-    if n_shards > 0:
-        unsharded_qps = next(
-            entry["qps"]
-            for entry in row["workers"]
-            if entry["n_workers"] == SHARD_BENCH_WORKERS
-        )
-        sharded: dict = {
-            "n_workers": SHARD_BENCH_WORKERS,
-            "unsharded_qps": unsharded_qps,
-            "shards": [],
-        }
-        for count in sorted({1, n_shards}):
-            with SuggestWorkerPool.from_suggester(
-                suggester,
-                n_workers=SHARD_BENCH_WORKERS,
-                prefix=f"benchsh{count}",
-                n_shards=count,
-            ) as pool:
-                qps, identical, _ = timed_qps(pool)
-                stats = pool.stats()
-                sizes = list(pool.shard_segment_bytes.values())
-                spills = sum(
-                    worker.spill["spills"]
-                    for worker in stats.workers
-                    if worker.spill is not None
-                )
-                walks = sum(
-                    worker.spill["walks"]
-                    for worker in stats.workers
-                    if worker.spill is not None
-                )
-            entry = {
-                "n_shards": count,
-                "qps": round(qps, 1),
-                "qps_vs_unsharded": round(qps / unsharded_qps, 3),
-                "bit_identical": identical,
-                "segment_mb": round(sum(sizes) / 1e6, 3),
-                "shard_segment_kb": [round(b / 1024, 1) for b in sizes],
-                "spills": spills,
-                "walks": walks,
-                "spill_fraction": round(spills / walks, 4) if walks else 0.0,
-            }
-            sharded["shards"].append(entry)
-            print(
-                f"serve[shards={count}]: {SHARD_BENCH_WORKERS} workers: "
-                f"{qps:7.1f} QPS "
-                f"(x{entry['qps_vs_unsharded']} vs unsharded), "
-                f"spill rate {entry['spill_fraction']:.1%}, "
-                f"bit_identical={identical}, "
-                f"segments={entry['shard_segment_kb']}KB"
-            )
-        row["sharded"] = sharded
     return row
 
 
@@ -1220,29 +1041,6 @@ def main() -> int:
         "(CI uses 1.3; auto-skipped on machines with fewer than 2 CPUs)",
     )
     parser.add_argument(
-        "--shards", type=int, default=0, metavar="N",
-        help="also benchmark the sharded graph plane at shard counts "
-        "{1, N}: sharded serve QPS + spill rate into the serve record, "
-        "per-shard fold/publish stats into the ingest record (implies "
-        "--serve and --ingest; 0 = off)",
-    )
-    parser.add_argument(
-        "--fold-workers", type=int, default=0, metavar="N",
-        help="also benchmark the parallel ingest plane: N persistent fold "
-        "worker processes with pipelined epoch publishes at --shards "
-        "shards (implies --ingest; requires --shards; 0 = off)",
-    )
-    parser.add_argument(
-        "--min-ingest-throughput", type=float, default=None, metavar="R",
-        help="fail (exit 1) when the most parallel sharded ingest "
-        "geometry falls below R x unsharded serial throughput, or when "
-        "any measured geometry is not bit-identical (CI uses 0.9 with "
-        "--shards 2 --fold-workers 2; the throughput bound — not the "
-        "bit-identity check — is auto-skipped on machines with fewer "
-        "than 2 CPUs, where no parallel fold speedup is physically "
-        "available)",
-    )
-    parser.add_argument(
         "--personalize", action="store_true",
         help="also benchmark personalized serving over the shared profile "
         "plane (personalized vs. anonymous QPS at 1/2/4 workers; implies "
@@ -1286,15 +1084,6 @@ def main() -> int:
         args.obs = True
     if args.min_serve_scaling is not None or args.personalize or args.http:
         args.serve = True
-    if args.shards > 0:
-        args.serve = True
-        args.ingest = True
-    if args.fold_workers > 0:
-        args.ingest = True
-        if args.shards <= 0:
-            parser.error("--fold-workers requires --shards")
-    if args.min_ingest_throughput is not None and args.shards <= 0:
-        parser.error("--min-ingest-throughput requires --shards")
     mode = "full" if args.full else "quick"
     scales = USER_SCALES if args.full else USER_SCALES[:1]
     record = {
@@ -1328,46 +1117,12 @@ def main() -> int:
                 n_users=(
                     INGEST_USERS_FULL if args.full else INGEST_USERS_QUICK
                 ),
-                n_shards=args.shards,
-                fold_workers=args.fold_workers,
             ),
         }
         Path(args.ingest_output).write_text(
             json.dumps(ingest_record, indent=2) + "\n"
         )
         print(f"wrote {args.ingest_output}")
-        if args.min_ingest_throughput is not None:
-            entries = ingest_record.get("sharded", [])
-            broken = [
-                f"shards={e['n_shards']} fold_workers={e['fold_workers']}"
-                for e in entries
-                if not e["bit_identical"]
-            ]
-            if broken:
-                print(
-                    "FAIL: sharded ingest not bit-identical at "
-                    + ", ".join(broken)
-                )
-                return 1
-            cpus = ingest_record["cpu_count"] or 1
-            gated = entries[-1] if entries else None
-            if gated is not None and gated["fold_workers"] > 0 and cpus < 2:
-                print(
-                    f"ingest throughput gate skipped: {cpus} CPU(s) — no "
-                    "parallel fold speedup is physically available"
-                )
-            elif gated is not None and (
-                gated["throughput_vs_unsharded"]
-                < args.min_ingest_throughput
-            ):
-                print(
-                    f"FAIL: sharded ingest at shards={gated['n_shards']} "
-                    f"fold_workers={gated['fold_workers']} reached "
-                    f"x{gated['throughput_vs_unsharded']} of unsharded "
-                    f"serial throughput, below the "
-                    f"x{args.min_ingest_throughput} bound"
-                )
-                return 1
     if args.upm:
         upm_record = {
             "benchmark": "upm_training",
@@ -1403,9 +1158,7 @@ def main() -> int:
             )
             return 1
     if args.serve:
-        serve_row = run_serve_bench(
-            rounds=2 if args.quick else 3, n_shards=args.shards
-        )
+        serve_row = run_serve_bench(rounds=2 if args.quick else 3)
         personal_row = None
         if args.personalize:
             personal_row = run_serve_personalize_bench(
@@ -1429,15 +1182,6 @@ def main() -> int:
         print(f"wrote {args.serve_output}")
         if not all(entry["bit_identical"] for entry in serve_row["workers"]):
             print("FAIL: pooled output diverged from the single-process path")
-            return 1
-        sharded = serve_row.get("sharded")
-        if sharded is not None and not all(
-            entry["bit_identical"] for entry in sharded["shards"]
-        ):
-            print(
-                "FAIL: sharded pooled output diverged from the "
-                "single-process path"
-            )
             return 1
         if personal_row is not None and not all(
             entry["bit_identical"] for entry in personal_row["workers"]

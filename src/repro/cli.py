@@ -146,15 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "stream (default: most frequent bootstrap query)")
     ingest.add_argument("--k", type=int, default=10)
     ingest.add_argument("--compact-size", type=int, default=150)
-    ingest.add_argument("--shards", type=int, default=0, metavar="N",
-                        help="shard the query side N ways: epochs carry "
-                             "per-shard slices and minimal update sets "
-                             "(0 = unsharded)")
-    ingest.add_argument("--fold-workers", type=int, default=0, metavar="N",
-                        help="derive per-shard slices in N persistent fold "
-                             "worker processes and pipeline epoch publishes "
-                             "with the next batch's fold; requires --shards "
-                             "(0 = serial fold)")
     ingest.add_argument("--metrics-out", default=None, metavar="JSON",
                         help="attach a metrics registry to the streaming "
                              "stack and write its snapshot here")
@@ -170,10 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "frequent log queries)")
     serve.add_argument("--workers", type=int, default=2,
                        help="suggest worker processes")
-    serve.add_argument("--shards", type=int, default=0, metavar="N",
-                       help="partition the graph plane into N shared-memory "
-                            "segments; workers attach only the shards they "
-                            "serve (0 = one monolithic segment)")
     serve.add_argument("--k", type=int, default=10)
     serve.add_argument("--rounds", type=int, default=1,
                        help="times to replay the request set "
@@ -442,14 +429,6 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         diversify=DiversifyConfig(k=args.k),
         personalize=False,
     )
-    shard_plan = None
-    if args.shards > 0:
-        from repro.graphs.shard import ShardPlan
-
-        shard_plan = ShardPlan.hashed(args.shards)
-    if args.fold_workers > 0 and shard_plan is None:
-        print("error: --fold-workers requires --shards", file=sys.stderr)
-        return 1
     registry = _make_registry(args.metrics_out)
     suggester, ingestor, manager = streaming_pqsda(
         bootstrap,
@@ -461,38 +440,15 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
             clean=False,
         ),
         registry=registry,
-        shard_plan=shard_plan,
-        fold_workers=args.fold_workers,
     )
-    shard_publishes = {"epochs": 0, "updates": 0}
-    if shard_plan is not None:
-        def _count_shard_updates(epoch) -> None:
-            if epoch.shard_updates is not None:
-                shard_publishes["epochs"] += 1
-                shard_publishes["updates"] += len(epoch.shard_updates)
-
-        manager.subscribe(_count_shard_updates)
     probe = args.probe
     if probe is None:
         frequency = Counter(normalize_query(r.query) for r in bootstrap)
         probe = frequency.most_common(1)[0][0]
     print(f"bootstrap: {split} records, epoch 0 published")
-    if args.fold_workers > 0:
-        print(
-            f"fold workers: {ingestor.state.fold_workers} processes, "
-            f"home shards "
-            + ", ".join(
-                f"w{wid}->{list(shards)}"
-                for wid, shards in sorted(ingestor.state.home_map.items())
-            )
-        )
     before = suggester.suggest(probe, k=args.k)
-    try:
-        report = ingestor.ingest(replay(tail, speedup=args.replay))
-        after = suggester.suggest(probe, k=args.k)
-    finally:
-        if args.fold_workers > 0:
-            ingestor.state.close()
+    report = ingestor.ingest(replay(tail, speedup=args.replay))
+    after = suggester.suggest(probe, k=args.k)
 
     print(
         f"streamed {report.records_ingested} records in "
@@ -512,15 +468,6 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         f"published={epochs.published} retired={epochs.retired} "
         f"live={epochs.live}"
     )
-    if shard_plan is not None:
-        streamed = max(1, report.epochs_published)
-        print(
-            f"shards: {args.shards}-way plan, "
-            f"{shard_publishes['epochs']}/{report.epochs_published} epochs "
-            f"carried per-shard updates "
-            f"({shard_publishes['updates'] / streamed:.1f} shard "
-            f"updates/epoch)"
-        )
     cache = suggester.cache_stats
     print(
         f"cache: {cache.hits} hits, {cache.misses} misses, "
@@ -624,26 +571,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         registry=registry,
         hot_queries=hot_queries,
         hot_top=args.hot_top,
-        n_shards=max(0, args.shards),
     )
     try:
-        if pool.n_shards:
-            sizes = pool.shard_segment_bytes
-            print(
-                f"pool: {pool.n_workers} workers over {pool.n_shards} "
-                f"shard segments, {pool.segment_bytes / 1e6:.1f} MB total "
-                f"(per shard: "
-                + ", ".join(
-                    f"{sizes[s] / 1e6:.1f}" for s in sorted(sizes)
-                )
-                + " MB)"
-            )
-        else:
-            print(
-                f"pool: {pool.n_workers} workers over a "
-                f"{pool.segment_bytes / 1e6:.1f} MB shared segment "
-                f"({pool.segment_name})"
-            )
+        print(
+            f"pool: {pool.n_workers} workers over a "
+            f"{pool.segment_bytes / 1e6:.1f} MB shared segment "
+            f"({pool.segment_name})"
+        )
         if hot_queries:
             print(
                 f"hot tier: answers to {len(hot_queries)} head queries "
@@ -685,11 +619,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 line += (
                     f", profile views: {worker.profile_shares_memory} "
                     f"(gen {worker.profile_generation})"
-                )
-            if worker.spill is not None:
-                line += (
-                    f", spills {worker.spill['spills']}"
-                    f"/{worker.spill['walks']} walks"
                 )
             print(line)
         if not args.quiet:

@@ -11,9 +11,11 @@
 * :mod:`compact <repro.graphs.compact>` — compact neighbourhood extraction
   by Markov random walk (Sec. IV-A);
 * :mod:`matrices <repro.graphs.matrices>` — the normalized matrices
-  ``W^X``, ``D^X`` and ``L^X`` that the diversification component consumes;
-* :mod:`shard <repro.graphs.shard>` — query-side sharding of the graph
-  plane with bit-identical shard-aware random walks.
+  ``W^X``, ``D^X`` and ``L^X`` that the diversification component consumes.
+
+Serving and streaming share one graph plane over every query: Sec. IV-A
+compaction bounds each request to a neighbourhood of at most ``Q`` queries
+however large the global graph is, so the query side is never partitioned.
 """
 
 from repro.graphs.bipartite import Bipartite
@@ -25,13 +27,6 @@ from repro.graphs.multibipartite import (
     MultiBipartite,
     build_multibipartite,
 )
-from repro.graphs.shard import (
-    ShardedExpander,
-    ShardPlan,
-    ShardSlice,
-    build_shard_slices,
-    stitch_slices,
-)
 from repro.graphs.weighting import apply_cfiqf, iqf
 
 __all__ = [
@@ -41,15 +36,10 @@ __all__ = [
     "ClickGraph",
     "CompactConfig",
     "MultiBipartite",
-    "ShardPlan",
-    "ShardSlice",
-    "ShardedExpander",
     "apply_cfiqf",
     "build_click_graph",
     "build_matrices",
     "build_multibipartite",
-    "build_shard_slices",
     "compact_subgraph",
     "iqf",
-    "stitch_slices",
 ]

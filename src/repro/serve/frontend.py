@@ -67,6 +67,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import signal
 import threading
 import time
@@ -251,7 +252,10 @@ async def _read_request(reader: asyncio.StreamReader) -> _HttpRequest | None:
     if rest is None:
         return None
     headers, body = rest
-    parts = urlsplit(target)
+    try:
+        parts = urlsplit(target)
+    except ValueError:
+        raise _BadRequest("malformed request target") from None
     keep_alive = headers.get("connection", "").lower() != "close" and (
         version.upper() != "HTTP/1.0"
         or headers.get("connection", "").lower() == "keep-alive"
@@ -272,6 +276,44 @@ class _BadRequest(Exception):
     def __init__(self, message: str, status: int = 400) -> None:
         super().__init__(message)
         self.status = status
+
+
+def _int_param(name: str, value) -> int:
+    """*value* as an integer: a JSON integer or a decimal string.
+
+    Booleans and non-integral numbers are rejected rather than coerced
+    (``true`` is not ``k=1``, ``2.7`` is not ``k=2``).
+    """
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    elif isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise _BadRequest(f"{name} must be an integer, got {value!r}")
+
+
+def _float_param(name: str, value) -> float:
+    """*value* as a finite float: a JSON number or a numeric string."""
+    number = math.nan
+    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except (ValueError, OverflowError):
+            pass
+    if not math.isfinite(number):
+        raise _BadRequest(f"{name} must be a finite number, got {value!r}")
+    return number
+
+
+def _str_param(name: str, value) -> str | None:
+    """*value* as a string (``None`` passes through as "absent")."""
+    if value is not None and not isinstance(value, str):
+        raise _BadRequest(f"{name} must be a string, got {value!r}")
+    return value
 
 
 def _render(status: int, payload: bytes, content_type: str,
@@ -474,7 +516,8 @@ class SuggestFrontend:
         """A ``SuggestRequest`` (tier 0) + deadline override from *params*.
 
         *params* maps names to either strings (JSON body) or lists of
-        strings (query string).
+        strings (query string).  Anything but a string query/user, an
+        integral ``k`` or finite numbers is a 400, never coerced.
         """
 
         def one(name: str, default=None):
@@ -483,22 +526,20 @@ class SuggestFrontend:
                 value = value[0] if value else default
             return value
 
-        query = one("q") or one("query")
-        if not query or not str(query).strip():
+        query = _str_param("q", one("q") or one("query"))
+        if not query or not query.strip():
             raise _BadRequest("missing query parameter 'q'")
-        try:
-            k = int(one("k", 10))
-            timestamp = float(one("timestamp", 0.0))
-            deadline_ms = one("deadline_ms")
-            deadline_ms = float(deadline_ms) if deadline_ms is not None else None
-        except (TypeError, ValueError) as exc:
-            raise _BadRequest(f"bad numeric parameter: {exc}") from None
-        if deadline_ms is not None and deadline_ms <= 0:
-            raise _BadRequest("deadline_ms must be positive")
-        user = one("user") or one("user_id")
+        k = _int_param("k", one("k", 10))
+        timestamp = _float_param("timestamp", one("timestamp", 0.0))
+        deadline_ms = one("deadline_ms")
+        if deadline_ms is not None:
+            deadline_ms = _float_param("deadline_ms", deadline_ms)
+            if deadline_ms <= 0:
+                raise _BadRequest("deadline_ms must be positive")
+        user = _str_param("user", one("user") or one("user_id"))
         try:
             request = SuggestRequest(
-                query=str(query), k=k, user_id=user, timestamp=timestamp
+                query=query, k=k, user_id=user, timestamp=timestamp
             )
         except ValueError as exc:
             raise _BadRequest(str(exc)) from None
@@ -516,7 +557,7 @@ class SuggestFrontend:
     async def _suggest_post(self, body: bytes) -> tuple[int, bytes, str]:
         try:
             payload = json.loads(body.decode("utf-8") or "{}")
-        except (ValueError, UnicodeDecodeError):
+        except (ValueError, RecursionError):
             return 400, json.dumps({"error": "body is not JSON"}).encode(), \
                 "application/json"
         if isinstance(payload, dict) and "requests" in payload:

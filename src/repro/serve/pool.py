@@ -102,7 +102,7 @@ import time
 import traceback
 import zlib
 from dataclasses import asdict, dataclass
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from multiprocessing import get_context
 
 from repro.baselines.base import SuggestRequest
@@ -110,7 +110,6 @@ from repro.core.config import PQSDAConfig
 from repro.core.serving import CacheStats
 from repro.core.suggester import PQSDA
 from repro.graphs.compact import RandomWalkExpander
-from repro.graphs.shard import ShardPlan, ShardSlice, build_shard_slices
 from repro.logs.schema import QueryRecord
 from repro.obs.registry import MetricsRegistry, NULL_REGISTRY
 from repro.personalize.profiles import (
@@ -123,17 +122,11 @@ from repro.serve.profile_plane import (
     SharedProfileMeta,
     SharedProfileStore,
 )
-from repro.serve.shard_plane import (
-    AttachedShardedPlane,
-    ShardSegmentMeta,
-    SharedShardStore,
-)
-from repro.serve.shm import AttachedPlane, SharedMatrixStore
+from repro.serve.shm import AttachedPlane, SharedMatrixStore, SharedPlaneMeta
 from repro.utils.text import normalize_query
 
 __all__ = [
     "PoolStats",
-    "ShardedPlaneHandle",
     "SuggestError",
     "SuggestWorkerPool",
     "WorkerStats",
@@ -141,59 +134,6 @@ __all__ = [
 
 #: Batch-size histogram bounds (requests per worker envelope).
 _BATCH_SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
-
-
-@dataclass(frozen=True)
-class ShardedPlaneHandle:
-    """Picklable manifest of one sharded generation: plan + shard metas.
-
-    The sharded analogue of a :class:`~repro.serve.shm.SharedPlaneMeta`:
-    one handle describes every shard's segment, and each worker derives
-    its own home-shard set from its worker id (see :func:`_home_shards`),
-    so a full swap broadcasts a single object down every request queue.
-    """
-
-    plan: ShardPlan
-    metas: dict[int, ShardSegmentMeta]
-    n_workers: int
-
-
-def _home_shards(worker_id: int, n_workers: int, n_shards: int) -> list[int]:
-    """The shards worker *worker_id* attaches eagerly (serves as home).
-
-    With at least as many shards as workers, shards stripe over workers
-    (``shard % n_workers``); with fewer shards than workers, each worker
-    homes exactly one shard (``worker % n_shards``) and shards are
-    replicated across the workers that map to them.
-    """
-    if n_shards >= n_workers:
-        return [s for s in range(n_shards) if s % n_workers == worker_id]
-    return [worker_id % n_shards]
-
-
-def _shard_route(shard_id: int, crc: int, n_workers: int, n_shards: int) -> int:
-    """Worker serving *shard_id* for a query with routing hash *crc*.
-
-    The exact inverse of :func:`_home_shards`: striped shards route to
-    their unique owner; replicated shards (fewer shards than workers)
-    spread over their replica set by the query hash, so repeats of a
-    query still land on one worker and hit its compact-entry cache.
-    """
-    if n_shards >= n_workers:
-        return shard_id % n_workers
-    replicas = [w for w in range(n_workers) if w % n_shards == shard_id]
-    return replicas[crc % len(replicas)]
-
-
-def _attach_worker_plane(meta, worker_id: int):
-    """Attach whichever plane flavor *meta* describes (full or sharded)."""
-    if isinstance(meta, ShardedPlaneHandle):
-        return AttachedShardedPlane(
-            meta.metas,
-            meta.plan,
-            _home_shards(worker_id, meta.n_workers, meta.plan.n_shards),
-        )
-    return AttachedPlane(meta)
 
 
 @dataclass(frozen=True, slots=True)
@@ -288,7 +228,7 @@ def _rss_kb() -> int:
 
 def _worker_main(
     worker_id: int,
-    meta,
+    meta: SharedPlaneMeta,
     profile_meta: SharedProfileMeta | None,
     config: PQSDAConfig,
     request_queue,
@@ -297,12 +237,8 @@ def _worker_main(
 ) -> None:
     """One suggest worker: attach, serve, swap on command, report stats.
 
-    *meta* is either a :class:`~repro.serve.shm.SharedPlaneMeta` (the
-    single-segment plane) or a :class:`ShardedPlaneHandle` (one segment
-    per shard; this worker eagerly attaches only its home shards).
-
     The loop is strictly serial, which is the torn-view guarantee: a swap
-    (matrix, shard or profile) message is only ever handled between two
+    (matrix or profile) message is only ever handled between two
     requests, so every request runs start-to-finish against exactly one
     generation's views.
     """
@@ -311,7 +247,7 @@ def _worker_main(
     # publisher's resource_tracker fd, so attach-time registrations land in
     # the publisher's registry where they are idempotent — no untracking.
     attach_start = time.perf_counter()
-    plane = _attach_worker_plane(meta, worker_id)
+    plane = AttachedPlane(meta)
     profile_plane = (
         AttachedProfilePlane(profile_meta) if profile_meta is not None else None
     )
@@ -384,39 +320,12 @@ def _worker_main(
                 swap_start = time.perf_counter()
                 error = None
                 try:
-                    new_plane = _attach_worker_plane(new_meta, worker_id)
+                    new_plane = AttachedPlane(new_meta)
                     pqsda.rebind_representation(
                         new_plane.representation, new_plane.expander, touched
                     )
                     plane.close()
                     plane = new_plane
-                    generation = new_generation
-                except Exception:
-                    error = traceback.format_exc()
-                ack_queue.put(
-                    (
-                        "ack",
-                        worker_id,
-                        new_generation,
-                        {
-                            "swap_seconds": time.perf_counter() - swap_start,
-                            "error": error,
-                        },
-                    )
-                )
-            elif kind == "sswap":
-                # Per-shard generation swap: only the touched shard's
-                # segment is remapped; every other shard's views — and
-                # the profile plane — stay exactly as they are.  Same
-                # serial-loop torn-view guarantee as a full swap.
-                _, shard_meta, new_generation, touched = message
-                swap_start = time.perf_counter()
-                error = None
-                try:
-                    plane.update_shard(shard_meta)
-                    pqsda.rebind_representation(
-                        plane.representation, plane.expander, touched
-                    )
                     generation = new_generation
                 except Exception:
                     error = traceback.format_exc()
@@ -468,17 +377,6 @@ def _worker_main(
             elif kind == "stats":
                 (_, token) = message
                 uptime = time.perf_counter() - started
-                spill = None
-                if isinstance(plane, AttachedShardedPlane):
-                    spill = plane.expander.spill_stats()
-                    registry.gauge("serve.shard.walks").set(spill["walks"])
-                    registry.gauge("serve.shard.spills").set(spill["spills"])
-                    registry.gauge("serve.shard.spill_fraction").set(
-                        spill["spill_fraction"]
-                    )
-                    registry.gauge("serve.shard.foreign_attaches").set(
-                        spill["foreign_attaches"]
-                    )
                 ack_queue.put(
                     (
                         "stats",
@@ -503,7 +401,6 @@ def _worker_main(
                                 else True
                             ),
                             "cache": asdict(pqsda.cache_stats),
-                            "spill": spill,
                             "snapshot": registry.snapshot(),
                         },
                     )
@@ -537,8 +434,6 @@ class WorkerStats:
         profile_users: Users in the worker's attached profile store.
         profile_shares_memory: Whether every profile payload is still a
             shared view (vacuously true without profiles).
-        spill: Shard-walk spill counters of the worker's sharded
-            expander (``None`` when the pool serves the unsharded plane).
     """
 
     worker_id: int
@@ -555,7 +450,6 @@ class WorkerStats:
     profile_generation: int = 0
     profile_users: int = 0
     profile_shares_memory: bool = True
-    spill: dict | None = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -579,11 +473,6 @@ class PoolStats:
             (0 = the pool serves without the profile plane).
         profile_generation: Current profile generation ordinal.
         profile_segment_bytes: Bytes of the current profile segment.
-        n_shards: Shards of the current plan (0 = unsharded plane).
-        shard_segment_bytes: Per-shard segment sizes, indexed by shard id
-            (empty when unsharded).
-        shard_epoch_ids: Per-shard epoch ordinals — independent per-shard
-            publishes make these diverge on purpose.
     """
 
     n_workers: int
@@ -596,9 +485,6 @@ class PoolStats:
     profile_users: int = 0
     profile_generation: int = 0
     profile_segment_bytes: int = 0
-    n_shards: int = 0
-    shard_segment_bytes: tuple[int, ...] = ()
-    shard_epoch_ids: tuple[int, ...] = ()
 
     @property
     def total_requests(self) -> int:
@@ -640,17 +526,6 @@ class SuggestWorkerPool:
             every epoch publish re-derives ``hot_top`` head queries from
             the epoch's log as the new generation's hot set (explicit
             ``hot_queries`` serve until the first epoch arrives).
-        n_shards: Partition the graph plane into this many per-shard
-            segments (0 = the single-segment plane).  Sharded serving is
-            bit-identical to unsharded at any shard count; requests route
-            by the shard plan composed with the worker stripe, each
-            worker eagerly attaches only its home shards, and per-shard
-            epoch publishes (:meth:`publish_shard`) swap exactly one
-            shard's segment.  Requires *multibipartite* (the facet
-            vocabularies make shard slices stitchable).
-        shard_plan: An explicit :class:`~repro.graphs.shard.ShardPlan`
-            (e.g. a component-packed plan so walks never spill);
-            overrides *n_shards*.
 
     Use as a context manager (or call :meth:`close`): shutdown stops the
     workers and unlinks the current segments, leaving nothing in
@@ -671,8 +546,6 @@ class SuggestWorkerPool:
         prefix: str = "pqsda",
         hot_queries: Sequence[str] | None = None,
         hot_top: int = 0,
-        n_shards: int = 0,
-        shard_plan: ShardPlan | None = None,
     ) -> None:
         if n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
@@ -686,14 +559,6 @@ class SuggestWorkerPool:
         self._hot = _hot_set(hot_queries)
         self._hot_top = hot_top
         self._hot_hits_total = 0
-        if shard_plan is None and n_shards > 0:
-            shard_plan = ShardPlan.hashed(n_shards)
-        self._plan = shard_plan
-        if self._plan is not None and multibipartite is None:
-            raise ValueError(
-                "sharded serving needs the multibipartite (its facet "
-                "vocabularies make the shard slices stitchable)"
-            )
 
         registry = registry if registry is not None else NULL_REGISTRY
         self._registry = registry
@@ -712,28 +577,14 @@ class SuggestWorkerPool:
         )
         self._m_profile_users = registry.gauge("serve.profile.users")
         self._m_workers.set(n_workers)
-        self._m_shards = registry.gauge("serve.shard.count")
-        self._m_shard_swaps = registry.counter("serve.shard.swaps")
 
-        self._store: SharedMatrixStore | None = None
-        self._shard_stores: dict[int, SharedShardStore] = {}
-        self._slices: dict[int, ShardSlice] = {}
-        if self._plan is not None:
-            self._m_shards.set(self._plan.n_shards)
-            self._slices = build_shard_slices(
-                expander.matrices, self._plan, multibipartite
-            )
-            self._shard_stores = self._publish_shard_stores(
-                self._slices, epoch_id=0
-            )
-        else:
-            self._store = SharedMatrixStore.publish(
-                expander.matrices,
-                expander,
-                multibipartite,
-                epoch_id=0,
-                prefix=prefix,
-            )
+        self._store = SharedMatrixStore.publish(
+            expander.matrices,
+            expander,
+            multibipartite,
+            epoch_id=0,
+            prefix=prefix,
+        )
         self._profile_store: SharedProfileStore | None = None
         self._profile_generation = 0
         self._profiled_users: frozenset[str] = frozenset()
@@ -769,7 +620,7 @@ class SuggestWorkerPool:
                     target=_worker_main,
                     args=(
                         worker_id,
-                        self._plane_payload(),
+                        self._store.meta,
                         (
                             self._profile_store.meta
                             if self._profile_store is not None
@@ -847,56 +698,6 @@ class SuggestWorkerPool:
             dict(self._memo[2]) if carry else {},
         )
 
-    # -- sharded-plane helpers ---------------------------------------------------
-
-    def _plane_payload(self):
-        """What a worker attaches: one meta, or one handle over all shards."""
-        if self._plan is not None:
-            return ShardedPlaneHandle(
-                plan=self._plan,
-                metas={
-                    shard_id: store.meta
-                    for shard_id, store in self._shard_stores.items()
-                },
-                n_workers=self._n_workers,
-            )
-        return self._store.meta
-
-    def _publish_shard_stores(
-        self,
-        slices: Mapping[int, ShardSlice],
-        epoch_id: int,
-        multibipartite=None,
-    ) -> dict[int, SharedShardStore]:
-        """One fresh segment per shard."""
-        representation = (
-            multibipartite
-            if multibipartite is not None
-            else self._multibipartite
-        )
-        term_bipartite = (
-            representation.bipartite("T") if representation is not None else None
-        )
-        stores: dict[int, SharedShardStore] = {}
-        try:
-            for shard_id in sorted(slices):
-                stores[shard_id] = SharedShardStore.publish(
-                    slices[shard_id],
-                    epoch_id=epoch_id,
-                    prefix=f"{self._prefix}-s",
-                    term_bipartite=term_bipartite,
-                )
-        except Exception:
-            for store in stores.values():
-                store.unlink()
-                store.close()
-            raise
-        for shard_id, store in stores.items():
-            self._registry.gauge(
-                "serve.shard.segment_bytes", labels={"shard": str(shard_id)}
-            ).set(store.total_bytes)
-        return stores
-
     def _check_workers_alive(self) -> None:
         dead = [
             f"{process.name} (exit {process.exitcode})"
@@ -942,44 +743,14 @@ class SuggestWorkerPool:
         return self._generation
 
     @property
-    def n_shards(self) -> int:
-        """Shards of the current plan (0 = the single-segment plane)."""
-        return self._plan.n_shards if self._plan is not None else 0
-
-    @property
-    def shard_plan(self) -> ShardPlan | None:
-        """The shard plan (``None`` when serving the unsharded plane)."""
-        return self._plan
-
-    @property
     def segment_name(self) -> str:
-        """Name of the current generation's segment (shard 0 if sharded)."""
-        if self._store is not None:
-            return self._store.segment_name
-        return self._shard_stores[min(self._shard_stores)].segment_name
+        """Name of the current generation's segment."""
+        return self._store.segment_name
 
     @property
     def segment_bytes(self) -> int:
-        """Bytes of the current shared segment(s), summed across shards."""
-        if self._store is not None:
-            return self._store.total_bytes
-        return sum(store.total_bytes for store in self._shard_stores.values())
-
-    @property
-    def shard_segment_bytes(self) -> dict[int, int]:
-        """Per-shard segment sizes (empty when unsharded)."""
-        return {
-            shard_id: store.total_bytes
-            for shard_id, store in sorted(self._shard_stores.items())
-        }
-
-    @property
-    def shard_epoch_ids(self) -> dict[int, int]:
-        """Per-shard epoch ordinals (empty when unsharded)."""
-        return {
-            shard_id: store.meta.epoch_id
-            for shard_id, store in sorted(self._shard_stores.items())
-        }
+        """Bytes of the current shared segment."""
+        return self._store.total_bytes
 
     @property
     def ready_info(self) -> dict[int, dict]:
@@ -1061,23 +832,9 @@ class SuggestWorkerPool:
     # -- request path ------------------------------------------------------------
 
     def _route(self, query: str) -> int:
-        """Stable query-hash routing: repeats hit the same worker's cache.
-
-        Sharded pools compose the same crc32 hash with the shard map:
-        the query's home shard picks the worker stripe that eagerly
-        attached it, so nearly every request is served intra-shard (a
-        walk only spills when its graph neighbourhood crosses shards).
-        """
+        """Stable query-hash routing: repeats hit the same worker's cache."""
         normalized = normalize_query(query)
-        crc = zlib.crc32(normalized.encode("utf-8"))
-        if self._plan is None:
-            return crc % self._n_workers
-        return _shard_route(
-            self._plan.shard_of(normalized),
-            crc,
-            self._n_workers,
-            self._plan.n_shards,
-        )
+        return zlib.crc32(normalized.encode("utf-8")) % self._n_workers
 
     def _personalizes(self, user_id: str | None) -> bool:
         """Whether workers would Borda-fuse a request of *user_id*.
@@ -1290,69 +1047,42 @@ class SuggestWorkerPool:
                 if multibipartite is not None
                 else self._multibipartite
             )
-            if self._plan is not None:
-                new_slices = build_shard_slices(
-                    expander.matrices, self._plan, publish_multibipartite
-                )
-                new_stores = self._publish_shard_stores(
-                    new_slices,
-                    epoch_id=epoch_id,
-                    multibipartite=publish_multibipartite,
-                )
-                payload = ShardedPlaneHandle(
-                    plan=self._plan,
-                    metas={
-                        shard_id: store.meta
-                        for shard_id, store in new_stores.items()
-                    },
-                    n_workers=self._n_workers,
-                )
-                cleanup = list(new_stores.values())
-            else:
-                new_store = SharedMatrixStore.publish(
-                    expander.matrices,
-                    expander,
-                    publish_multibipartite,
-                    epoch_id=epoch_id,
-                    prefix=self._prefix,
-                )
-                payload = new_store.meta
-                cleanup = [new_store]
+            new_store = SharedMatrixStore.publish(
+                expander.matrices,
+                expander,
+                publish_multibipartite,
+                epoch_id=epoch_id,
+                prefix=self._prefix,
+            )
             touched_payload = (
                 frozenset(touched) if touched is not None else None
             )
             for request_queue in self._request_queues:
                 request_queue.put(
-                    ("swap", payload, generation, touched_payload)
+                    ("swap", new_store.meta, generation, touched_payload)
                 )
-            self._await_swap_acks(generation, cleanup)
+            self._await_swap_acks(generation, new_store)
             # Every worker acked: nobody can still be serving from the old
-            # segment(s), so removing them is safe now and not a moment
-            # before.
-            if self._plan is not None:
-                old_stores = list(self._shard_stores.values())
-                self._shard_stores = new_stores
-                self._slices = new_slices
-                self._multibipartite = publish_multibipartite
-            else:
-                old_stores = [self._store]
-                self._store = new_store
+            # segment, so removing it is safe now and not a moment before.
+            old_store = self._store
+            self._store = new_store
             if hot_queries is not None:
                 self._hot = _hot_set(hot_queries)
             self._generation = generation
             self._reset_memo()
             self._m_generations.inc()
-            for old_store in old_stores:
-                old_store.unlink()
-                old_store.close()
+            old_store.unlink()
+            old_store.close()
 
-    def _await_swap_acks(self, generation: int, cleanup: list) -> None:
+    def _await_swap_acks(
+        self, generation: int, new_store: SharedMatrixStore
+    ) -> None:
         """Collect one ``ack`` per worker for *generation*.
 
         On timeout or any worker-side error the freshly published
-        store(s) in *cleanup* are unlinked before raising, so a failed
-        publish leaves the pool serving the previous generation with
-        nothing leaked.
+        *new_store* is unlinked before raising, so a failed publish
+        leaves the pool serving the previous generation with nothing
+        leaked.
         """
         acked: set[int] = set()
         errors: list[str] = []
@@ -1360,9 +1090,8 @@ class SuggestWorkerPool:
         while len(acked) < self._n_workers:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
-                for store in cleanup:
-                    store.unlink()
-                    store.close()
+                new_store.unlink()
+                new_store.close()
                 raise TimeoutError(
                     f"only {len(acked)}/{self._n_workers} workers acked "
                     f"generation {generation} within "
@@ -1382,88 +1111,11 @@ class SuggestWorkerPool:
             else:
                 self._m_swap.observe(info["swap_seconds"])
         if errors:
-            for store in cleanup:
-                store.unlink()
-                store.close()
+            new_store.unlink()
+            new_store.close()
             raise RuntimeError(
                 "generation swap failed:\n" + "\n".join(errors)
             )
-
-    def publish_shard(
-        self,
-        piece: ShardSlice,
-        touched=None,
-        epoch_id: int | None = None,
-        multibipartite=None,
-    ) -> None:
-        """Publish ONE shard's next generation and swap every worker onto it.
-
-        The per-shard half of the generation handshake: a delta that
-        touched only shard *piece.shard_id* repacks that shard's segment,
-        sends an ``sswap`` down each worker's request queue (workers
-        remap just that shard — every other shard's views and the
-        profile plane are untouched), and unlinks the superseded shard
-        segment after all acks.  *touched* drives the workers' targeted
-        cache invalidation exactly like a full publish, and the hot memo
-        restarts empty: a walk from any shard may cross the changed one.
-
-        Per-shard publishes must keep the shard's query set: new queries
-        renumber the global ordinal space, so deltas carrying them take
-        :meth:`publish_plane` / :meth:`publish_epoch` instead.
-        """
-        if self._closed:
-            raise RuntimeError("pool is closed")
-        if self._plan is None:
-            raise RuntimeError("pool is not sharded; use publish_plane")
-        shard_id = piece.shard_id
-        current = self._slices.get(shard_id)
-        if current is not None and current.queries != piece.queries:
-            raise ValueError(
-                "per-shard publish cannot change the shard's query set; "
-                "publish a full plane instead"
-            )
-        with self._control_lock:
-            generation = self._generation + 1
-            if epoch_id is None:
-                epoch_id = generation
-            representation = (
-                multibipartite
-                if multibipartite is not None
-                else self._multibipartite
-            )
-            new_store = SharedShardStore.publish(
-                piece,
-                epoch_id=epoch_id,
-                prefix=f"{self._prefix}-s",
-                term_bipartite=(
-                    representation.bipartite("T")
-                    if representation is not None
-                    else None
-                ),
-            )
-            touched_payload = (
-                frozenset(touched) if touched is not None else None
-            )
-            for request_queue in self._request_queues:
-                request_queue.put(
-                    ("sswap", new_store.meta, generation, touched_payload)
-                )
-            self._await_swap_acks(generation, [new_store])
-            old_store = self._shard_stores[shard_id]
-            self._shard_stores[shard_id] = new_store
-            self._slices[shard_id] = piece
-            self._generation = generation
-            self._reset_memo()
-            self._m_generations.inc()
-            self._m_shard_swaps.inc()
-            self._registry.counter(
-                "serve.shard.swaps", labels={"shard": str(shard_id)}
-            ).inc()
-            self._registry.gauge(
-                "serve.shard.segment_bytes", labels={"shard": str(shard_id)}
-            ).set(new_store.total_bytes)
-            old_store.unlink()
-            old_store.close()
 
     def publish_profiles(
         self,
@@ -1554,42 +1206,17 @@ class SuggestWorkerPool:
         :class:`repro.stream.ingest.LogIngestor`) additionally rides a
         profile swap after the matrix swap, so click feedback reaches the
         workers' scorers through the same epoch machinery.
-
-        Sharded pools take the per-shard fast path when the epoch carries
-        ``shard_updates`` under the same plan (the streaming layer
-        produces them for deltas that add no queries): each touched
-        shard's segment is republished through :meth:`publish_shard` and
-        every untouched shard's segment survives as-is.  Epochs without per-shard updates (new queries, plan
-        mismatch, unsharded ingestion) fall back to the full swap.
         """
         hot_queries = None
         if self._hot_top > 0:
             hot_queries = epoch.head_queries(self._hot_top)
-        shard_updates = getattr(epoch, "shard_updates", None)
-        shard_plan = getattr(epoch, "shard_plan", None)
-        if (
-            self._plan is not None
-            and shard_updates is not None
-            and shard_plan == self._plan
-        ):
-            if hot_queries is not None:
-                self._hot = _hot_set(hot_queries)
-            for shard_id in sorted(shard_updates):
-                self.publish_shard(
-                    shard_updates[shard_id],
-                    touched=epoch.touched_queries,
-                    epoch_id=epoch.epoch_id,
-                    multibipartite=epoch.multibipartite,
-                )
-            self._multibipartite = epoch.multibipartite
-        else:
-            self.publish_plane(
-                epoch.expander,
-                multibipartite=epoch.multibipartite,
-                touched=epoch.touched_queries,
-                epoch_id=epoch.epoch_id,
-                hot_queries=hot_queries,
-            )
+        self.publish_plane(
+            epoch.expander,
+            multibipartite=epoch.multibipartite,
+            touched=epoch.touched_queries,
+            epoch_id=epoch.epoch_id,
+            hot_queries=hot_queries,
+        )
         profiles = getattr(epoch, "profiles", None)
         if profiles is not None:
             self.publish_profiles(profiles)
@@ -1654,18 +1281,13 @@ class SuggestWorkerPool:
                 profile_shares_memory=payload.get(
                     "profile_shares_memory", True
                 ),
-                spill=payload.get("spill"),
             )
             for worker_id, payload in sorted(payloads.items())
         )
-        if self._store is not None:
-            epoch_id = self._store.meta.epoch_id
-        else:
-            epoch_id = max(self.shard_epoch_ids.values())
         return PoolStats(
             n_workers=self._n_workers,
             generation=self._generation,
-            epoch_id=epoch_id,
+            epoch_id=self._store.meta.epoch_id,
             segment_bytes=self.segment_bytes,
             workers=workers,
             hot_entries=self.hot_entries,
@@ -1673,9 +1295,6 @@ class SuggestWorkerPool:
             profile_users=len(self._profiled_users),
             profile_generation=self._profile_generation,
             profile_segment_bytes=self.profile_segment_bytes,
-            n_shards=self.n_shards,
-            shard_segment_bytes=tuple(self.shard_segment_bytes.values()),
-            shard_epoch_ids=tuple(self.shard_epoch_ids.values()),
         )
 
     def merged_metrics(self) -> dict:
@@ -1728,12 +1347,8 @@ class SuggestWorkerPool:
         self._dispatcher_stop.set()
         if self._dispatcher is not None and self._dispatcher.is_alive():
             self._dispatcher.join(timeout=5.0)
-        if self._store is not None:
-            self._store.unlink()
-            self._store.close()
-        for store in self._shard_stores.values():
-            store.unlink()
-            store.close()
+        self._store.unlink()
+        self._store.close()
         if self._profile_store is not None:
             self._profile_store.unlink()
             self._profile_store.close()

@@ -14,6 +14,8 @@ import urllib.error
 import urllib.request
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from repro.baselines.base import SuggestRequest
 from repro.obs.registry import MetricsRegistry
@@ -279,6 +281,57 @@ class TestHttpPlumbing:
         assert len(pool.calls) < n_requests  # coalesced, not one-by-one
         assert max(len(call) for call in pool.calls) >= 2
 
+    @pytest.mark.parametrize(
+        "method, target, payload",
+        [
+            ("GET", "/suggest?q=x&deadline_ms=nan", None),
+            ("GET", "/suggest?q=x&deadline_ms=inf", None),
+            ("POST", "/suggest", {"q": "x", "deadline_ms": float("nan")}),
+            ("GET", "/suggest?q=x&timestamp=nan", None),
+            ("GET", "/suggest?q=x&timestamp=inf", None),
+            ("POST", "/suggest", {"q": "x", "timestamp": float("-inf")}),
+            ("POST", "/suggest", {"q": "x", "k": True}),
+            ("POST", "/suggest", {"q": "x", "k": 2.7}),
+            ("POST", "/suggest", {"q": {"x": 1}}),
+            ("POST", "/suggest", {"q": 7}),
+            ("POST", "/suggest", {"q": "x", "user": {"id": 1}}),
+            (
+                "POST",
+                "/suggest",
+                {"requests": [{"q": "x", "deadline_ms": float("inf")}]},
+            ),
+        ],
+        ids=[
+            "get-deadline-nan",
+            "get-deadline-inf",
+            "json-deadline-nan",
+            "get-timestamp-nan",
+            "get-timestamp-inf",
+            "json-timestamp-inf",
+            "json-k-bool",
+            "json-k-fraction",
+            "json-q-object",
+            "json-q-number",
+            "json-user-object",
+            "batch-deadline-inf",
+        ],
+    )
+    def test_uncoercible_parameters_are_a_400(
+        self, fast_config, method, target, payload
+    ):
+        pool = FakePool()
+        with run_in_thread(pool, config=fast_config) as handle:
+            if method == "GET":
+                status, body = _get(handle.url + target)
+            else:
+                status, body = _post(handle.url + target, payload)
+        if "requests" in (payload or {}):
+            assert status == 200
+            status, body = body["results"][0].pop("status"), body["results"][0]
+        assert status == 400
+        assert "error" in body
+        assert pool.calls == []
+
     def test_pool_level_failure_maps_to_500(self, fast_config):
         class ExplodingPool(FakePool):
             def suggest_many(self, requests, return_errors=False):
@@ -386,6 +439,136 @@ class TestMalformedFraming:
                     headers[name.strip().lower()] = value.strip()
                 stream.read(int(headers["content-length"]))
                 time.sleep(1.0)  # idle well past the read timeout
+
+
+def _strict_json(body: bytes):
+    """``json.loads`` that rejects the non-standard NaN/Infinity tokens."""
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(body, parse_constant=reject)
+
+
+def _check_responses(data: bytes) -> None:
+    """Every response in *data* is a framed HTTP/1.1 response with a
+    strict-JSON or text body whose length matches its Content-Length."""
+    while data:
+        head, separator, rest = data.partition(b"\r\n\r\n")
+        assert separator, f"unterminated response head: {data[:80]!r}"
+        status_line, *header_lines = head.split(b"\r\n")
+        version, status, _ = status_line.split(b" ", 2)
+        assert version == b"HTTP/1.1" and 100 <= int(status) <= 599
+        headers = {}
+        for line in header_lines:
+            name, _, value = line.partition(b":")
+            headers[name.strip().lower()] = value.strip()
+        length = int(headers[b"content-length"])
+        body, data = rest[:length], rest[length:]
+        assert len(body) == length
+        if headers[b"content-type"].startswith(b"application/json"):
+            _strict_json(body)
+
+
+_REQUEST_LINES = st.builds(
+    lambda method, target, version: method + b" " + target + b" " + version,
+    st.sampled_from([b"GET", b"POST", b"PUT", b"get", b""]),
+    st.one_of(
+        st.sampled_from([
+            b"/suggest?q=x", b"/suggest?q=x&k=nan", b"/suggest?k=1e999",
+            b"/healthz", b"/metrics", b"/metrics.json", b"/nope", b"*",
+            b"//[x", b"/suggest?q=%ff%fe",
+        ]),
+        st.binary(max_size=24),
+    ),
+    st.sampled_from([b"HTTP/1.1", b"HTTP/1.0", b"", b"HTTP/9"]),
+)
+_HEADERS = st.lists(
+    st.tuples(
+        st.sampled_from([
+            b"Content-Length", b"Connection", b"Host", b"X-Any", b"",
+        ]),
+        st.one_of(
+            st.sampled_from(
+                [b"0", b"2", b"17", b"-1", b"close", b"keep-alive"]
+            ),
+            st.binary(max_size=12),
+        ),
+    ),
+    max_size=4,
+).map(
+    lambda pairs: b"".join(
+        name + b": " + value + b"\r\n" for name, value in pairs
+    )
+)
+_BODIES = st.one_of(
+    st.sampled_from([
+        b"", b"{}", b'{"q": "x"}', b'{"q": "x", "k": NaN}',
+        b'{"requests": [{"q": "x"}, 3]}', b"[" * 5000,
+    ]),
+    st.binary(max_size=64),
+)
+_PAYLOADS = st.one_of(
+    st.binary(max_size=256),
+    st.builds(
+        lambda line, headers, body: line + b"\r\n" + headers + b"\r\n" + body,
+        _REQUEST_LINES,
+        _HEADERS,
+        _BODIES,
+    ),
+)
+
+
+def test_arbitrary_bytes_get_a_well_formed_answer_or_a_close(
+    fast_config, monkeypatch
+):
+    """Whatever bytes a client sends, the server answers with framed
+    responses or closes the connection — within the read timeout and
+    without an exception reaching the event loop's handler — and keeps
+    serving well-formed requests afterwards."""
+    read_timeout = 0.5
+    monkeypatch.setattr(
+        frontend_module, "_REQUEST_READ_TIMEOUT_S", read_timeout
+    )
+    unhandled = []
+    pool = FakePool()
+    with run_in_thread(pool, config=fast_config) as handle:
+        loop = handle._loop
+        loop.call_soon_threadsafe(
+            loop.set_exception_handler,
+            lambda _loop, context: unhandled.append(context),
+        )
+
+        @settings(
+            max_examples=80,
+            deadline=None,
+            suppress_health_check=[HealthCheck.too_slow],
+        )
+        @given(payload=_PAYLOADS)
+        @example(payload=b"GET //[x HTTP/1.1\r\n\r\n")
+        @example(
+            payload=b"POST /suggest HTTP/1.1\r\nContent-Length: 5000\r\n\r\n"
+            + b"[" * 5000
+        )
+        def exchange(payload):
+            started = time.monotonic()
+            with socket.create_connection(
+                handle.address, timeout=read_timeout + 5.0
+            ) as sock:
+                sock.sendall(payload)
+                sock.shutdown(socket.SHUT_WR)
+                chunks = []
+                while chunk := sock.recv(65536):
+                    chunks.append(chunk)
+            assert time.monotonic() - started < read_timeout + 5.0
+            _check_responses(b"".join(chunks))
+
+        exchange()
+        status, body = _get(handle.url + "/suggest?q=fresh&k=2")
+        assert (status, body["suggestions"]) == (
+            200, ["fresh-s0", "fresh-s1"]
+        )
+    assert unhandled == []
 
 
 class TestEndToEnd:

@@ -287,9 +287,8 @@ class TestHotTierBehavior:
             assert pool.hot_hits == 2 * len(hot)
 
 
-    @pytest.mark.parametrize("n_shards", [0, 2])
     def test_segments_carry_no_hot_arrays(
-        self, synthetic_log, expander, multibipartite, n_shards
+        self, synthetic_log, expander, multibipartite
     ):
         """The memo lives in the parent: nothing hot enters shared memory."""
         with SuggestWorkerPool(
@@ -297,23 +296,18 @@ class TestHotTierBehavior:
             SERVE_CONFIG,
             multibipartite=multibipartite,
             n_workers=1,
-            prefix=f"t-hotseg{n_shards}",
+            prefix="t-hotseg",
             hot_queries=head_queries(synthetic_log, 5),
-            n_shards=n_shards,
         ) as pool:
             pool.suggest_many(
                 [SuggestRequest(query=q, k=8) for q in multibipartite.queries]
             )
             pool.publish_plane(expander, multibipartite=multibipartite)
-            metas = (
-                [pool._store.meta]
-                if pool._store is not None
-                else [store.meta for store in pool._shard_stores.values()]
-            )
-            for meta in metas:
-                assert not [
-                    name for name in meta.arrays if name.startswith("hot.")
-                ]
+            assert not [
+                name
+                for name in pool._store.meta.arrays
+                if name.startswith("hot.")
+            ]
 
 
 class TestHotRefresh:

@@ -11,6 +11,8 @@ operations on the same operands as the batch path.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import PQSDA, PQSDAConfig
 from repro.diversify.candidates import DiversifyConfig
@@ -110,6 +112,50 @@ class TestMatrixEquivalence:
                 snapshot.matrices.incidence[kind],
                 f"incidence[{kind}] cadence",
             )
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_any_prefix_batching_and_cadence_is_bit_identical(
+        self, ordered_records, data
+    ):
+        """Any prefix of the stream, cut into arbitrary micro-batches and
+        snapshotted after arbitrary batches, ends at the batch build's
+        bits for that prefix."""
+        n_records = data.draw(
+            st.integers(1, len(ordered_records)), label="prefix length"
+        )
+        prefix = ordered_records[:n_records]
+        sizes = data.draw(
+            st.lists(st.integers(1, 256), min_size=1, max_size=12),
+            label="batch sizes (cycled)",
+        )
+        bounds = [0]
+        while bounds[-1] < n_records:
+            bounds.append(bounds[-1] + sizes[(len(bounds) - 1) % len(sizes)])
+        snapshot_after = data.draw(
+            st.sets(st.integers(0, len(bounds) - 2), max_size=8),
+            label="snapshot after batches",
+        )
+        state = StreamState()
+        snapshot = None
+        for batch, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            state.apply(prefix[lo:hi])
+            if batch in snapshot_after:
+                snapshot = state.build_snapshot()
+        if state.n_pending:
+            snapshot = state.build_snapshot()
+        expected = PQSDA.build(
+            QueryLog(tuple(prefix)), config=PQSDAConfig(personalize=False)
+        ).expander.matrices
+        stream = snapshot.matrices
+        assert stream.queries == expected.queries
+        for kind in BIPARTITE_KINDS:
+            for name in ("incidence", "gram", "affinity"):
+                _assert_csr_identical(
+                    getattr(expected, name)[kind],
+                    getattr(stream, name)[kind],
+                    f"{name}[{kind}] prefix={n_records} sizes={sizes}",
+                )
 
     def test_raw_weighting_equivalence(self, synthetic_log, ordered_records):
         """The raw (non-cfiqf) ablation streams bit-identically too."""

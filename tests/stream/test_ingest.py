@@ -9,6 +9,7 @@ from repro.logs.aol import write_aol
 from repro.logs.cleaning import CleaningRules
 from repro.logs.schema import QueryRecord
 from repro.logs.storage import QueryLog
+from repro.obs.registry import MetricsRegistry
 from repro.stream import (
     Epoch,
     EpochManager,
@@ -16,6 +17,7 @@ from repro.stream import (
     LogIngestor,
     StreamState,
     replay,
+    streaming_pqsda,
     tail_aol,
 )
 
@@ -292,3 +294,36 @@ class TestProfileFeedback:
         # (one generation per click-carrying publish: two full batches).
         assert suggester.profiles is ingestor.profiles
         assert suggester.profiles.generation == 2
+
+
+class TestIngestReport:
+    @pytest.fixture(scope="class")
+    def records(self):
+        from repro.synth.generator import GeneratorConfig, generate_log
+        from repro.synth.world import make_world
+
+        synthetic = generate_log(
+            make_world(seed=0),
+            GeneratorConfig(n_users=24, mean_sessions_per_user=4, seed=11),
+        )
+        return sorted(
+            synthetic.log.records, key=lambda r: (r.timestamp, r.record_id)
+        )
+
+    def test_report_splits_fold_and_publish_time(self, records):
+        registry = MetricsRegistry()
+        cut = len(records) // 2
+        suggester, ingestor, manager = streaming_pqsda(
+            QueryLog(tuple(records[:cut])),
+            ingest=IngestConfig(batch_size=32, clean=False),
+            registry=registry,
+        )
+        report = ingestor.ingest(records[cut:])
+        assert report.fold_seconds > 0.0
+        assert report.publish_seconds > 0.0
+        assert report.fold_seconds + report.publish_seconds <= (
+            report.elapsed_seconds
+        )
+        assert report.fold_records_per_second > report.records_per_second
+        histogram = registry.histogram("stream.ingest.publish_seconds")
+        assert histogram.count == report.epochs_published
