@@ -823,7 +823,6 @@ def run_http_bench(n_users: int = 60, rounds: int = 3) -> dict:
             shed_rerank_depth=1.0,
             shed_personalize_depth=2.0,
             reject_depth=4.0,
-            max_dispatchers=2,
         )
         n_burst_clients, max_attempts = 24, 6
         outcomes, attempts = [], 0

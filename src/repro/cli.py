@@ -185,7 +185,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "127.0.0.1:8080) and run until SIGINT/SIGTERM")
     serve.add_argument("--batch-window-ms", type=float, default=2.0,
                        help="micro-batch accumulation window of the HTTP "
-                            "front-end (0 = no waiting)")
+                            "front-end, waited only while every worker is "
+                            "busy (0 = never wait)")
     serve.add_argument("--max-batch", type=int, default=64,
                        help="dispatch an HTTP micro-batch early at this size")
     serve.add_argument("--deadline-ms", type=float, default=1000.0,
