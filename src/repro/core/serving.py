@@ -191,8 +191,7 @@ class CompactCache:
     """LRU cache of :class:`CompactEntry` objects over one full graph.
 
     Args:
-        expander: The full-graph walk expander (its matrices must carry
-            the cached grams, i.e. come from ``build_matrices``).
+        expander: The full-graph walk expander.
         maxsize: Bound on held entries; least-recently-used entries are
             evicted beyond it.
         switch: Cross-bipartite switch matrix for the cached walkers

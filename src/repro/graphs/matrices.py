@@ -28,7 +28,13 @@ from scipy import sparse
 from repro.graphs.multibipartite import BIPARTITE_KINDS, MultiBipartite
 
 try:  # scipy's C kernels; private but stable, guarded for safety.
-    from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
+    from scipy.sparse._sparsetools import (
+        csr_matmat as _csr_matmat,
+        csr_matmat_maxnnz as _csr_matmat_maxnnz,
+        csr_matvec as _csr_matvec,
+        csr_sort_indices as _csr_sort_indices,
+        csr_tocsc as _csr_tocsc,
+    )
 except ImportError:  # pragma: no cover - exercised only on exotic scipy
     _csr_matvec = None
 
@@ -139,28 +145,30 @@ def csr_from_parts(
 
 
 class LazyAffinities(Mapping):
-    """Kind -> ``L^X`` mapping derived from the cached grams on demand.
+    """Kind -> ``L^X`` mapping derived from the incidence on first access.
 
     The serving hot path never reads the full-graph affinities —
     :meth:`BipartiteMatrices.restrict` derives compact affinities from the
-    sliced grams — so a worker that attaches shared full-graph structures
-    defers (and usually never pays) the ``D^{-1/2} G D^{-1/2}`` scaling.
+    restricted incidence — so a full-graph plane defers (and usually never
+    pays) the ``W W^T`` product and its ``D^{-1/2} G D^{-1/2}`` scaling.
     """
 
-    def __init__(self, gram: Mapping) -> None:
-        self._gram = gram
+    def __init__(self, incidence: Mapping[str, sparse.csr_matrix]) -> None:
+        self._incidence = incidence
         self._cache: dict[str, sparse.csr_matrix] = {}
 
     def __getitem__(self, kind: str) -> sparse.csr_matrix:
         if kind not in self._cache:
-            self._cache[kind] = _affinity_from_gram(self._gram[kind])
+            self._cache[kind] = _affinity_from_gram(
+                _gram_of(self._incidence[kind])
+            )
         return self._cache[kind]
 
     def __iter__(self):
-        return iter(self._gram)
+        return iter(self._incidence)
 
     def __len__(self) -> int:
-        return len(self._gram)
+        return len(self._incidence)
 
 
 class _LazyTransitions(Mapping):
@@ -168,8 +176,8 @@ class _LazyTransitions(Mapping):
 
     The serving fast path never reads the per-kind transitions — the
     cross-bipartite walker assembles its mixed transition straight from the
-    incidence matrices — so :meth:`BipartiteMatrices.restrict` defers the
-    three two-step matmuls until somebody actually asks for one.
+    incidence matrices — so every plane defers the three two-step matmuls
+    until somebody actually asks for one.
     """
 
     def __init__(self, incidence: Mapping[str, sparse.csr_matrix]) -> None:
@@ -195,23 +203,37 @@ class BipartiteMatrices:
     Attributes:
         queries: Query strings, row order of every matrix.
         query_index: Query -> row ordinal.
-        incidence: Kind -> ``W^X`` (n_queries, n_facets_X).
+        incidence: Kind -> ``W^X`` (n_queries, n_facets_X).  Every other
+            matrix is a function of it.
         affinity: Kind -> ``L^X`` (n_queries, n_queries), symmetric,
-            spectral radius <= 1.
+            spectral radius <= 1.  Lazy (:class:`LazyAffinities`) on
+            full-graph planes; computed by :meth:`restrict`.
         transition: Kind -> ``P^X`` (n_queries, n_queries), row-stochastic
-            (zero rows for queries with no facet in X).
-        gram: Kind -> ``W^X W^{X⊤}`` (n_queries, n_queries).  Cached by
-            :func:`build_matrices` so :meth:`restrict` can derive compact
-            affinities by slicing instead of re-multiplying; None on
-            hand-assembled instances (restrict then recomputes it).
+            (zero rows for queries with no facet in X).  Always lazy.
     """
 
     queries: list[str]
     query_index: dict[str, int]
-    incidence: dict[str, sparse.csr_matrix]
-    affinity: dict[str, sparse.csr_matrix]
-    transition: dict[str, sparse.csr_matrix]
-    gram: dict[str, sparse.csr_matrix] | None = None
+    incidence: Mapping[str, sparse.csr_matrix]
+    affinity: Mapping[str, sparse.csr_matrix]
+    transition: Mapping[str, sparse.csr_matrix]
+
+    @classmethod
+    def from_incidence(
+        cls,
+        queries: list[str],
+        query_index: dict[str, int],
+        incidence: Mapping[str, sparse.csr_matrix],
+    ) -> "BipartiteMatrices":
+        """A full-graph plane: affinities and transitions lazy over
+        *incidence*, derived on first access."""
+        return cls(
+            queries=queries,
+            query_index=query_index,
+            incidence=incidence,
+            affinity=LazyAffinities(incidence),
+            transition=_LazyTransitions(incidence),
+        )
 
     @property
     def n_queries(self) -> int:
@@ -228,13 +250,11 @@ class BipartiteMatrices:
 
         The serving fast path: the compact incidence ``W^X`` is a CSR row
         slice of the full incidence (with facet columns that lost all their
-        edges dropped), and the compact gram ``W^X W^{X⊤}`` is a row+column
-        slice of the cached full gram — restricting the query set removes
-        whole rows but never touches the facets a kept query is connected
-        to, so every gram entry between kept queries is unchanged.  Only
-        the cheap derived matrices (degree scalings and the two-step
-        transition, whose facet-side normalizer genuinely depends on the
-        kept set) are recomputed.
+        edges dropped), and the compact gram ``W^X W^{X⊤}`` is the product
+        of that slice with itself — the same rule :func:`build_matrices`
+        applies, so the two agree entry for entry.  The affinity ``L^X``
+        is derived from it eagerly (the Eq. 15 solve always reads it); the
+        two-step transitions stay lazy.
 
         The result is numerically identical to
         ``build_matrices(multibipartite.restrict_queries(queries))`` for
@@ -247,13 +267,8 @@ class BipartiteMatrices:
             raise ValueError("ordinals out of range")
         queries = [self.queries[int(i)] for i in rows]
         query_index = {query: i for i, query in enumerate(queries)}
-        # Old ordinal -> compact ordinal (-1 = dropped); shared by the
-        # per-kind gram slicing below.
-        lookup = np.full(self.n_queries, -1, dtype=np.intp)
-        lookup[rows] = np.arange(rows.size, dtype=np.intp)
         incidence: dict[str, sparse.csr_matrix] = {}
         affinity: dict[str, sparse.csr_matrix] = {}
-        gram: dict[str, sparse.csr_matrix] = {}
         for kind in BIPARTITE_KINDS:
             full = self.incidence[kind]
             indices, data, indptr = _take_rows(full, rows)
@@ -271,56 +286,55 @@ class BipartiteMatrices:
                 (rows.size, int(live_columns.size)),
                 sorted_indices=bool(full.has_sorted_indices),
             )
-            if self.gram is not None:
-                sub_gram = _slice_square(self.gram[kind], rows, lookup)
-            else:
-                sub_gram = _gram_of(sliced)
             incidence[kind] = sliced
-            gram[kind] = sub_gram
-            affinity[kind] = _affinity_from_gram(sub_gram)
+            affinity[kind] = _affinity_from_gram(_gram_of(sliced))
         return BipartiteMatrices(
             queries=queries,
             query_index=query_index,
             incidence=incidence,
             affinity=affinity,
             transition=_LazyTransitions(incidence),
-            gram=gram,
         )
 
 
-def _slice_square(
-    matrix: sparse.csr_matrix, rows: np.ndarray, lookup: np.ndarray
-) -> sparse.csr_matrix:
-    """``matrix[rows, :][:, rows]`` with columns renumbered to 0..len(rows).
-
-    *rows* must be sorted unique ordinals and *lookup* the old->new ordinal
-    map (-1 for dropped ordinals); entry order within rows is preserved, so
-    a sorted parent yields a sorted (canonical) slice.
-    """
-    indices, data, _ = _take_rows(matrix, rows)
-    position = lookup[indices]
-    keep = position >= 0
-    counts = matrix.indptr[rows + 1] - matrix.indptr[rows]
-    row_of_entry = np.repeat(
-        np.arange(rows.size, dtype=np.intp), counts.astype(np.intp)
-    )
-    kept_counts = np.bincount(row_of_entry[keep], minlength=rows.size)
-    indptr = np.zeros(rows.size + 1, dtype=matrix.indptr.dtype)
-    np.cumsum(kept_counts, out=indptr[1:])
-    return _raw_csr(
-        data[keep],
-        position[keep].astype(matrix.indices.dtype),
-        indptr,
-        (int(rows.size), int(rows.size)),
-        sorted_indices=bool(matrix.has_sorted_indices),
-    )
-
-
 def _gram_of(incidence: sparse.csr_matrix) -> sparse.csr_matrix:
-    """``W W^T`` in canonical (sorted-indices) CSR form."""
-    gram = (incidence @ incidence.T).tocsr()
-    gram.sort_indices()
-    return gram
+    """``W W^T`` in canonical (sorted-indices) CSR form.
+
+    Runs the kernels ``(W @ W.T).tocsr().sort_indices()`` reaches — the
+    transpose, the two-pass sparse product, the per-row index sort — on
+    the same operands, so the result is bit-identical, without scipy's
+    per-call dispatch, which dominates on ~150-row compact sets.
+    """
+    if _csr_matvec is None:  # pragma: no cover - exotic scipy
+        gram = (incidence @ incidence.T).tocsr()
+        gram.sort_indices()
+        return gram
+    n_rows, n_cols = incidence.shape
+    indptr = incidence.indptr.astype(np.int64, copy=False)
+    indices = incidence.indices.astype(np.int64, copy=False)
+    data = incidence.data
+    t_indptr = np.empty(n_cols + 1, dtype=np.int64)
+    t_indices = np.empty(indices.size, dtype=np.int64)
+    t_data = np.empty(data.size, dtype=data.dtype)
+    _csr_tocsc(
+        n_rows, n_cols, indptr, indices, data, t_indptr, t_indices, t_data
+    )
+    bound = _csr_matmat_maxnnz(
+        n_rows, n_rows, indptr, indices, t_indptr, t_indices
+    )
+    g_indptr = np.empty(n_rows + 1, dtype=np.int64)
+    g_indices = np.empty(bound, dtype=np.int64)
+    g_data = np.empty(bound, dtype=data.dtype)
+    _csr_matmat(
+        n_rows, n_rows, indptr, indices, data,
+        t_indptr, t_indices, t_data, g_indptr, g_indices, g_data,
+    )
+    nnz = int(g_indptr[-1])  # the product kernel drops exact zeros
+    g_indices, g_data = g_indices[:nnz], g_data[:nnz]
+    _csr_sort_indices(n_rows, g_indptr, g_indices, g_data)
+    return _raw_csr(
+        g_data, g_indices, g_indptr, (n_rows, n_rows), sorted_indices=True
+    )
 
 
 def _affinity_from_gram(gram: sparse.csr_matrix) -> sparse.csr_matrix:
@@ -349,25 +363,19 @@ def _transition_of(incidence: sparse.csr_matrix) -> sparse.csr_matrix:
 
 
 def build_matrices(multibipartite: MultiBipartite) -> BipartiteMatrices:
-    """Compute every matrix of *multibipartite* on its sorted query order."""
+    """Every matrix of *multibipartite* on its sorted query order.
+
+    Only the incidence is computed here; affinities and transitions are
+    lazy mappings over it, derived on first access by the same rules
+    :meth:`BipartiteMatrices.restrict` applies to a compact set.
+    """
     queries = multibipartite.queries
     query_index = {query: i for i, query in enumerate(queries)}
     incidence: dict[str, sparse.csr_matrix] = {}
-    affinity: dict[str, sparse.csr_matrix] = {}
-    transition: dict[str, sparse.csr_matrix] = {}
-    gram: dict[str, sparse.csr_matrix] = {}
     for kind in BIPARTITE_KINDS:
         matrix, _ = multibipartite.bipartite(kind).to_matrix(query_index)
         matrix.sort_indices()
         incidence[kind] = matrix
-        gram[kind] = _gram_of(matrix)
-        affinity[kind] = _affinity_from_gram(gram[kind])
-        transition[kind] = _transition_of(matrix)
-    return BipartiteMatrices(
-        queries=list(queries),
-        query_index=query_index,
-        incidence=incidence,
-        affinity=affinity,
-        transition=transition,
-        gram=gram,
+    return BipartiteMatrices.from_incidence(
+        list(queries), query_index, incidence
     )

@@ -1,7 +1,7 @@
 """Scale-out serving: zero-copy shared memory + multi-process workers.
 
 :mod:`repro.serve.shm` publishes one generation of the serving plane (the
-CSR incidences/grams, the walk stacks and the vocabularies) into a single
+CSR incidences, the walk stacks and the vocabularies) into a single
 ``multiprocessing`` shared-memory segment; :mod:`repro.serve.profile_plane`
 does the same for the personalization layer (theta profiles, per-user
 topic-word counts, user/word vocabs, optional tau) so workers score

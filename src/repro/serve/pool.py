@@ -250,6 +250,13 @@ def _decode_context(encoded: tuple) -> tuple[QueryRecord, ...]:
     )
 
 
+def _worker_died(dead: dict[int, str], waiting) -> RuntimeError:
+    """The error naming the workers in *waiting* that are *dead*."""
+    return RuntimeError("worker process died: " + ", ".join(
+        dead[worker_id] for worker_id in sorted(waiting & dead.keys())
+    ))
+
+
 def _rss_kb() -> int:
     """This process's resident set size in kB (0 where /proc is absent)."""
     try:
@@ -304,6 +311,7 @@ def _worker_main(
         (
             "ready",
             worker_id,
+            None,
             {
                 "pid": os.getpid(),
                 "attach_seconds": attach_seconds,
@@ -552,7 +560,8 @@ class SuggestWorkerPool:
             segment.  (``"fork"`` also works and attaches faster.)
         ready_timeout: Seconds to wait for workers to attach at startup.
         ack_timeout: Seconds to wait for swap acks, batch replies and
-            stats replies.
+            stats replies (a worker that dies first fails the wait at
+            once, named).
         prefix: Shared-memory segment name prefix.
         hot_queries: Head queries whose worker answers the parent memoizes
             per generation (``None``/empty = no hot tier).  Use
@@ -678,7 +687,11 @@ class SuggestWorkerPool:
                 daemon=True,
             )
             self._dispatcher.start()
-            self._ready_info = self._collect_ready(ready_timeout)
+            self._ready_info = self._await_acks(
+                "ready", None, "attached", ready_timeout
+            )
+            for info in self._ready_info.values():
+                self._m_attach.observe(info["attach_seconds"])
         except Exception:
             self.close()
             raise
@@ -719,19 +732,12 @@ class SuggestWorkerPool:
         are left alone.  A batch past its ``ack_timeout`` deadline fails
         with ``TimeoutError`` (its late envelopes then drain as stale).
         """
-        dead = {
-            worker_id: f"{process.name} (exit {process.exitcode})"
-            for worker_id, process in enumerate(self._workers)
-            if process.exitcode is not None
-        }
+        dead = self._dead_workers()
 
         def verdict(pending: _PendingBatch) -> BaseException | None:
             missing = pending.expected - pending.replies.keys()
-            lost = sorted(missing & dead.keys())
-            if lost:
-                return RuntimeError("worker process died: " + ", ".join(
-                    dead[worker_id] for worker_id in lost
-                ))
+            if missing & dead.keys():
+                return _worker_died(dead, missing)
             if now >= pending.deadline:
                 return TimeoutError(
                     f"{len(missing)} worker batch replies "
@@ -826,37 +832,82 @@ class SuggestWorkerPool:
             dict(self._memo[2]) if carry else {},
         )
 
-    def _check_workers_alive(self) -> None:
-        dead = [
-            f"{process.name} (exit {process.exitcode})"
-            for process in self._workers
+    def _dead_workers(self) -> dict[int, str]:
+        """Worker id -> ``"<name> (exit <code>)"`` of every exited worker."""
+        return {
+            worker_id: f"{process.name} (exit {process.exitcode})"
+            for worker_id, process in enumerate(self._workers)
             if process.exitcode is not None
-        ]
-        if dead:
-            raise RuntimeError(f"worker process died: {', '.join(dead)}")
+        }
 
-    def _collect_ready(self, timeout: float) -> dict[int, dict]:
+    def _await_acks(
+        self, kind: str, tag, what: str, timeout: float | None = None
+    ) -> dict[int, dict]:
+        """Worker id -> payload of one *kind* ack tagged *tag* per worker.
+
+        Every control round-trip (startup, plane and profile swaps,
+        stats) waits here.  Worker liveness is polled every
+        :data:`_POLL_SECONDS` while the ack queue is quiet, so a worker
+        that dies before acking raises the ``RuntimeError`` naming it at
+        once; acks still missing after *timeout* (default
+        ``ack_timeout``) raise ``TimeoutError``.  Acks of another kind or
+        tag — late arrivals from an earlier failed round — are drained.
+        """
+        timeout = self._ack_timeout if timeout is None else timeout
         deadline = time.monotonic() + timeout
-        ready: dict[int, dict] = {}
-        while len(ready) < self._n_workers:
+        acks: dict[int, dict] = {}
+        while len(acks) < self._n_workers:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 raise TimeoutError(
-                    f"only {len(ready)}/{self._n_workers} workers attached "
+                    f"only {len(acks)}/{self._n_workers} workers {what} "
                     f"within {timeout:.0f}s"
                 )
             try:
-                kind, worker_id, info = self._ack_queue.get(
-                    timeout=min(remaining, 1.0)
+                got_kind, worker_id, got_tag, payload = self._ack_queue.get(
+                    timeout=min(remaining, _POLL_SECONDS)
                 )
             except queue_module.Empty:
-                self._check_workers_alive()
+                dead = self._dead_workers()
+                waiting = set(range(self._n_workers)) - acks.keys()
+                if waiting & dead.keys():
+                    raise _worker_died(dead, waiting) from None
                 continue
-            if kind != "ready":  # pragma: no cover - defensive
-                continue
-            ready[worker_id] = info
-            self._m_attach.observe(info["attach_seconds"])
-        return ready
+            if got_kind == kind and got_tag == tag:
+                acks[worker_id] = payload
+        return acks
+
+    def _swap(self, message: tuple, ack: str, what: str, new_store) -> None:
+        """Send swap *message* to every worker and await each one's *ack*.
+
+        *message* carries the generation at index 2, which tags the acks.
+        On any failure — a worker-side error, a dead worker, a timeout —
+        the freshly published *new_store* is unlinked before raising, so
+        a failed publish leaves the pool serving the previous generation
+        with nothing leaked.
+        """
+        generation = message[2]
+        try:
+            for request_queue in self._request_queues:
+                request_queue.put(message)
+            acks = self._await_acks(
+                ack, generation, f"acked {what} {generation}"
+            )
+            errors = [
+                f"worker {worker_id}: {info['error']}"
+                for worker_id, info in sorted(acks.items())
+                if info.get("error")
+            ]
+            if errors:
+                raise RuntimeError(
+                    f"{what} swap failed:\n" + "\n".join(errors)
+                )
+        except BaseException:
+            new_store.unlink()
+            new_store.close()
+            raise
+        for info in acks.values():
+            self._m_swap.observe(info["swap_seconds"])
 
     # -- properties --------------------------------------------------------------
 
@@ -1181,11 +1232,12 @@ class SuggestWorkerPool:
             touched_payload = (
                 frozenset(touched) if touched is not None else None
             )
-            for request_queue in self._request_queues:
-                request_queue.put(
-                    ("swap", new_store.meta, generation, touched_payload)
-                )
-            self._await_swap_acks(generation, new_store)
+            self._swap(
+                ("swap", new_store.meta, generation, touched_payload),
+                "ack",
+                "generation",
+                new_store,
+            )
             # Every worker acked: nobody can still be serving from the old
             # segment, so removing it is safe now and not a moment before.
             old_store = self._store
@@ -1197,49 +1249,6 @@ class SuggestWorkerPool:
             self._m_generations.inc()
             old_store.unlink()
             old_store.close()
-
-    def _await_swap_acks(
-        self, generation: int, new_store: SharedMatrixStore
-    ) -> None:
-        """Collect one ``ack`` per worker for *generation*.
-
-        On timeout or any worker-side error the freshly published
-        *new_store* is unlinked before raising, so a failed publish
-        leaves the pool serving the previous generation with nothing
-        leaked.
-        """
-        acked: set[int] = set()
-        errors: list[str] = []
-        deadline = time.monotonic() + self._ack_timeout
-        while len(acked) < self._n_workers:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                new_store.unlink()
-                new_store.close()
-                raise TimeoutError(
-                    f"only {len(acked)}/{self._n_workers} workers acked "
-                    f"generation {generation} within "
-                    f"{self._ack_timeout:.0f}s"
-                )
-            try:
-                kind, worker_id, gen, info = self._ack_queue.get(
-                    timeout=remaining
-                )
-            except queue_module.Empty:
-                continue
-            if kind != "ack" or gen != generation:  # pragma: no cover
-                continue
-            acked.add(worker_id)
-            if info.get("error"):
-                errors.append(f"worker {worker_id}: {info['error']}")
-            else:
-                self._m_swap.observe(info["swap_seconds"])
-        if errors:
-            new_store.unlink()
-            new_store.close()
-            raise RuntimeError(
-                "generation swap failed:\n" + "\n".join(errors)
-            )
 
     def publish_profiles(
         self,
@@ -1270,40 +1279,12 @@ class SuggestWorkerPool:
             new_store = SharedProfileStore.publish(
                 arrays, prefix=self._prefix, generation=generation
             )
-            for request_queue in self._request_queues:
-                request_queue.put(("pswap", new_store.meta, generation))
-            acked: set[int] = set()
-            errors: list[str] = []
-            deadline = time.monotonic() + self._ack_timeout
-            while len(acked) < self._n_workers:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    new_store.unlink()
-                    new_store.close()
-                    raise TimeoutError(
-                        f"only {len(acked)}/{self._n_workers} workers acked "
-                        f"profile generation {generation} within "
-                        f"{self._ack_timeout:.0f}s"
-                    )
-                try:
-                    kind, worker_id, gen, info = self._ack_queue.get(
-                        timeout=remaining
-                    )
-                except queue_module.Empty:
-                    continue
-                if kind != "pswap_ack" or gen != generation:
-                    continue  # pragma: no cover - defensive
-                acked.add(worker_id)
-                if info.get("error"):
-                    errors.append(f"worker {worker_id}: {info['error']}")
-                else:
-                    self._m_swap.observe(info["swap_seconds"])
-            if errors:
-                new_store.unlink()
-                new_store.close()
-                raise RuntimeError(
-                    "profile generation swap failed:\n" + "\n".join(errors)
-                )
+            self._swap(
+                ("pswap", new_store.meta, generation),
+                "pswap_ack",
+                "profile generation",
+                new_store,
+            )
             # Every worker acked: nobody can still be scoring from the
             # old profile segment, so removing it is safe now.
             old_store = self._profile_store
@@ -1357,25 +1338,7 @@ class SuggestWorkerPool:
         self._next_token += 1
         for request_queue in self._request_queues:
             request_queue.put(("stats", token))
-        payloads: dict[int, dict] = {}
-        deadline = time.monotonic() + self._ack_timeout
-        while len(payloads) < self._n_workers:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise TimeoutError(
-                    f"only {len(payloads)}/{self._n_workers} stats replies "
-                    f"within {self._ack_timeout:.0f}s"
-                )
-            try:
-                kind, worker_id, got_token, payload = self._ack_queue.get(
-                    timeout=remaining
-                )
-            except queue_module.Empty:
-                continue
-            if kind != "stats" or got_token != token:  # pragma: no cover
-                continue
-            payloads[worker_id] = payload
-        return payloads
+        return self._await_acks("stats", token, "replied to stats")
 
     def stats(self) -> PoolStats:
         """Live per-worker counters, one round-trip to every worker."""

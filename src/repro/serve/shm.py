@@ -5,9 +5,10 @@ shared-memory segment holding every array a suggest worker needs to serve
 against one representation generation:
 
 * the CSR parts (``indptr``/``indices``/``data``) of each bipartite's
-  incidence ``W^X`` and gram ``W^X W^{X⊤}`` — everything
+  incidence ``W^X`` — everything
   :meth:`~repro.graphs.matrices.BipartiteMatrices.restrict` touches on the
-  per-request fast path;
+  per-request fast path (it derives the compact gram from the restricted
+  rows, so no full-graph gram is published);
 * the expander's factored walk stacks (forward/backward), published
   verbatim so workers skip the per-process re-normalization;
 * the query vocabulary (one UTF-8 blob plus an offsets array) that
@@ -53,12 +54,7 @@ import numpy as np
 from scipy import sparse
 
 from repro.graphs.compact import RandomWalkExpander
-from repro.graphs.matrices import (
-    BipartiteMatrices,
-    LazyAffinities,
-    _LazyTransitions,
-    csr_from_parts,
-)
+from repro.graphs.matrices import BipartiteMatrices, csr_from_parts
 from repro.graphs.multibipartite import BIPARTITE_KINDS
 from repro.utils.text import normalize_query
 
@@ -268,10 +264,6 @@ class SharedMatrixStore:
         pid, a random token and *epoch_id*, so concurrent publishers (and
         generations) never collide.
         """
-        if matrices.gram is None:
-            raise ValueError(
-                "matrices must carry cached grams (build_matrices output)"
-            )
         if expander is None:
             expander = RandomWalkExpander(multibipartite, matrices=matrices)
         plan: list[tuple[str, np.ndarray]] = []
@@ -289,7 +281,6 @@ class SharedMatrixStore:
 
         for kind in BIPARTITE_KINDS:
             add_csr(f"incidence.{kind}", matrices.incidence[kind])
-            add_csr(f"gram.{kind}", matrices.gram[kind])
         forward, backward = expander.walk_stacks
         add_csr("stack.forward", forward.tocsr())
         add_csr("stack.backward", backward.tocsr())
@@ -462,9 +453,9 @@ class AttachedPlane:
     :func:`_unregister_from_tracker`).
 
     Attributes:
-        matrices: :class:`BipartiteMatrices` whose incidence and gram CSR
-            parts are views into the shared segment (affinity and
-            transition are lazy derivations the hot path never touches).
+        matrices: :class:`BipartiteMatrices` whose incidence CSR parts
+            are views into the shared segment (affinity and transition are
+            lazy derivations over it that the hot path never touches).
         expander: Walk expander over ``matrices`` with the published
             stacks attached (views as well).
         representation: The :class:`SharedRepresentation` handle.
@@ -502,14 +493,8 @@ class AttachedPlane:
         )
         query_index = {query: i for i, query in enumerate(queries)}
         incidence = {kind: csr(f"incidence.{kind}") for kind in BIPARTITE_KINDS}
-        gram = {kind: csr(f"gram.{kind}") for kind in BIPARTITE_KINDS}
-        self.matrices = BipartiteMatrices(
-            queries=queries,
-            query_index=query_index,
-            incidence=incidence,
-            affinity=LazyAffinities(gram),
-            transition=_LazyTransitions(incidence),
-            gram=gram,
+        self.matrices = BipartiteMatrices.from_incidence(
+            queries, query_index, incidence
         )
         term_bipartite = None
         if meta.has_term_index:
@@ -557,8 +542,6 @@ class AttachedPlane:
         )
         payloads = [
             self.matrices.incidence[kind].data for kind in BIPARTITE_KINDS
-        ] + [
-            self.matrices.gram[kind].data for kind in BIPARTITE_KINDS
         ] + [stack.data for stack in self.expander.walk_stacks]
         return all(np.shares_memory(base, payload) for payload in payloads)
 

@@ -1,8 +1,8 @@
 """Incremental multi-bipartite updates for streaming log ingestion.
 
 The batch pipeline derives everything from scratch: raw bipartites from the
-log, cfiqf weights (Eqs. 4-6), then the CSR incidence / gram / affinity
-matrices of :func:`repro.graphs.matrices.build_matrices`.  A live suggester
+log, cfiqf weights (Eqs. 4-6), then the CSR incidence matrices of
+:func:`repro.graphs.matrices.build_matrices`.  A live suggester
 cannot afford that per click.  :class:`StreamState` is the writer-side
 mirror of that pipeline: micro-batches of records are folded into the raw
 structures in ``O(batch)`` (:meth:`StreamState.apply`), and an epoch
@@ -15,10 +15,11 @@ snapshot is derived by *patching* the previous epoch's CSR structures
   epoch-level correction: the per-facet iqf factors are recomputed (an
   ``O(n_facets)`` scalar pass) and applied to the raw-count data array in
   one vectorized multiply — never a from-scratch re-walk of the log;
-* the gram/affinity matrices are re-derived from the patched incidence
-  with the exact helpers ``build_matrices`` uses, so every epoch snapshot
-  is **bit-identical** to a batch rebuild over the same record prefix
-  (the equivalence the streaming tests pin down).
+* affinities and transitions are lazy mappings over the patched
+  incidence, the same form ``build_matrices`` returns, so nothing beyond
+  the incidence is derived per epoch and every epoch snapshot is
+  **bit-identical** to a batch rebuild over the same record prefix (the
+  equivalence the streaming tests pin down).
 
 Equivalence requires records to arrive in per-user timestamp order (the
 natural order of a query log); out-of-order arrivals still produce a valid
@@ -35,9 +36,6 @@ from scipy import sparse
 from repro.graphs.bipartite import Bipartite
 from repro.graphs.matrices import (
     BipartiteMatrices,
-    _affinity_from_gram,
-    _gram_of,
-    _LazyTransitions,
     _raw_csr,
     _take_rows,
 )
@@ -285,8 +283,9 @@ class StreamState:
 
         The expensive, epoch-granularity step: extends the cumulative log,
         merges new query/facet nodes into the sorted orderings, re-gathers
-        only the touched CSR rows, applies the epoch-level iqf correction,
-        and re-derives gram/affinity from the patched incidence.
+        only the touched CSR rows and applies the epoch-level iqf
+        correction; affinities and transitions stay lazy over the patched
+        incidence.
         """
         self._log = self._log.extend(self._pending)
         self._pending = []
@@ -298,8 +297,6 @@ class StreamState:
         query_index = {query: i for i, query in enumerate(queries)}
 
         incidence: dict[str, sparse.csr_matrix] = {}
-        affinity: dict[str, sparse.csr_matrix] = {}
-        gram: dict[str, sparse.csr_matrix] = {}
         for kind in BIPARTITE_KINDS:
             state = self._kinds[kind]
             facets, old_col_pos = _merge_sorted(
@@ -320,10 +317,9 @@ class StreamState:
             state.facets = facets
             state.new_facets = set()
             state.touched = set()
-            weighted = self._reweight(raw, facets, state.bipartite, total)
-            incidence[kind] = weighted
-            gram[kind] = _gram_of(weighted)
-            affinity[kind] = _affinity_from_gram(gram[kind])
+            incidence[kind] = self._reweight(
+                raw, facets, state.bipartite, total
+            )
 
         self._queries = queries
         touched_queries = frozenset(self._touched)
@@ -331,13 +327,8 @@ class StreamState:
         self._new_queries = set()
         self._snapshots += 1
 
-        matrices = BipartiteMatrices(
-            queries=list(queries),
-            query_index=query_index,
-            incidence=incidence,
-            affinity=affinity,
-            transition=_LazyTransitions(incidence),
-            gram=gram,
+        matrices = BipartiteMatrices.from_incidence(
+            list(queries), query_index, incidence
         )
         multibipartite = MultiBipartite(
             {kind: self._kinds[kind].bipartite for kind in BIPARTITE_KINDS}

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from repro.graphs.matrices import build_matrices, row_normalize
+from repro.graphs.matrices import _gram_of, build_matrices, row_normalize
 from repro.graphs.multibipartite import BIPARTITE_KINDS, build_multibipartite
 from repro.logs.sessionizer import sessionize
 
@@ -14,6 +14,30 @@ def matrices(table1_log):
     sessions = sessionize(table1_log)
     mb = build_multibipartite(table1_log, sessions, weighted=True)
     return build_matrices(mb)
+
+
+class TestGram:
+    def test_bit_identical_to_scipy_product(self):
+        """The direct-kernel gram equals ``(W @ W.T)`` sorted, array for
+        array — including rows with no facet and exact cancellations."""
+        rng = np.random.default_rng(0)
+        cases = [
+            sparse.random(40, 30, density=0.1, random_state=rng, format="csr")
+            for _ in range(20)
+        ]
+        cases += [
+            sparse.csr_matrix((5, 0)),
+            sparse.csr_matrix(np.array([[1.0, -1.0], [1.0, 1.0]])),
+        ]
+        for incidence in cases:
+            expected = (incidence @ incidence.T).tocsr()
+            expected.sort_indices()
+            gram = _gram_of(incidence)
+            assert gram.shape == expected.shape
+            for part in ("indptr", "indices", "data"):
+                assert np.array_equal(
+                    getattr(gram, part), getattr(expected, part)
+                ), part
 
 
 class TestRowNormalize:

@@ -309,6 +309,22 @@ class TestHotTierBehavior:
                 if name.startswith("hot.")
             ]
 
+    def test_segments_carry_no_gram_arrays(self, expander, multibipartite):
+        """Workers derive compact grams from the incidence: no full-graph
+        gram enters shared memory, at startup or after a publish."""
+        with SuggestWorkerPool(
+            expander,
+            SERVE_CONFIG,
+            multibipartite=multibipartite,
+            n_workers=1,
+            prefix="t-gramseg",
+        ) as pool:
+            for _ in range(2):
+                names = pool._store.meta.arrays
+                assert "incidence.U.data" in names
+                assert not [name for name in names if name.startswith("gram.")]
+                pool.publish_plane(expander, multibipartite=multibipartite)
+
 
 class TestHotRefresh:
     def test_publish_plane_rebuilds_table_for_new_generation(

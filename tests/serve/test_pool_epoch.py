@@ -1,7 +1,9 @@
 """Generation handshake: epoch-consistent publication to pool workers."""
 
 import os
+import signal
 import threading
+import time
 
 import pytest
 
@@ -171,3 +173,44 @@ def test_closed_pool_rejects_requests(expander, multibipartite):
     with pytest.raises(RuntimeError, match="closed"):
         pool.publish_plane(expander)
     assert _dev_shm_entries("t-closed") == []
+
+
+def test_dead_worker_fails_publish_and_stats_at_once(
+    expander, multibipartite, next_generation
+):
+    """A publish or stats round to a pool with a dead worker raises the
+    error naming it within seconds, not after ``ack_timeout``, and the
+    failed publish leaves no new segment behind."""
+    _, mb2, expander2 = next_generation
+    pool = SuggestWorkerPool(
+        expander,
+        SERVE_CONFIG,
+        multibipartite=multibipartite,
+        n_workers=2,
+        prefix="t-deadpub",
+        ack_timeout=60.0,
+    )
+    try:
+        serving = pool.segment_name
+        # Let worker 0's queue feeder release the shared ack-queue lock it
+        # took to send "ready": a worker killed inside that window would
+        # wedge its peer's acks (and make close() wait out its join).
+        time.sleep(0.5)
+        os.kill(pool._workers[0].pid, signal.SIGKILL)
+        pool._workers[0].join(timeout=30)
+        assert pool._workers[0].exitcode is not None
+        for call in (
+            lambda: pool.publish_plane(expander2, multibipartite=mb2),
+            pool.stats,
+        ):
+            start = time.monotonic()
+            with pytest.raises(RuntimeError, match="worker process died") as err:
+                call()
+            assert time.monotonic() - start < 10.0
+            assert "suggest-worker-0" in str(err.value)
+            assert "suggest-worker-1" not in str(err.value)
+            assert _dev_shm_entries("t-deadpub") == [serving]
+        assert pool.generation == 0
+    finally:
+        pool.close()
+    assert _dev_shm_entries("t-deadpub") == []

@@ -29,13 +29,12 @@ class TestRoundTrip:
         assert plane.matrices.queries == original.queries
         assert plane.matrices.query_index == original.query_index
         for kind in BIPARTITE_KINDS:
-            for table in ("incidence", "gram"):
-                ours = getattr(plane.matrices, table)[kind]
-                theirs = getattr(original, table)[kind]
-                assert ours.shape == theirs.shape
-                assert np.array_equal(ours.indptr, theirs.indptr)
-                assert np.array_equal(ours.indices, theirs.indices)
-                assert np.array_equal(ours.data, theirs.data)
+            ours = plane.matrices.incidence[kind]
+            theirs = original.incidence[kind]
+            assert ours.shape == theirs.shape
+            assert np.array_equal(ours.indptr, theirs.indptr)
+            assert np.array_equal(ours.indices, theirs.indices)
+            assert np.array_equal(ours.data, theirs.data)
         plane.close()
 
     def test_walk_stacks_identical(self, store, expander):
@@ -175,10 +174,3 @@ class TestLifecycle:
         plane.close()
         plane.close()
         assert plane.matrices is None
-
-    def test_publish_requires_grams(self, expander):
-        from dataclasses import replace
-
-        stripped = replace(expander.matrices, gram=None)
-        with pytest.raises(ValueError, match="gram"):
-            SharedMatrixStore.publish(stripped, expander)

@@ -91,11 +91,6 @@ class TestMatrixEquivalence:
                 f"incidence[{kind}] batch_size={batch_size}",
             )
             _assert_csr_identical(
-                batch_matrices.gram[kind],
-                stream.gram[kind],
-                f"gram[{kind}] batch_size={batch_size}",
-            )
-            _assert_csr_identical(
                 batch_matrices.affinity[kind],
                 stream.affinity[kind],
                 f"affinity[{kind}] batch_size={batch_size}",
@@ -150,7 +145,7 @@ class TestMatrixEquivalence:
         stream = snapshot.matrices
         assert stream.queries == expected.queries
         for kind in BIPARTITE_KINDS:
-            for name in ("incidence", "gram", "affinity"):
+            for name in ("incidence", "affinity"):
                 _assert_csr_identical(
                     getattr(expected, name)[kind],
                     getattr(stream, name)[kind],
